@@ -40,7 +40,7 @@ from repro import obs
 from repro.baselines import EdgeSamplingFourCycles
 from repro.core import TriangleRandomOrder
 from repro.experiments import cache_info, cached_ground_truth, clear_cache, run_trials
-from repro.experiments.parallel import make_factory
+from repro.experiments.parallel import SeededFactory
 from repro.graphs import (
     erdos_renyi,
     erdos_renyi_loop,
@@ -66,21 +66,23 @@ MIN_SPEEDUP = 1.0 if QUICK else 4.0
 def _trials_for(graph, counts, epsilon, n_jobs=1):
     """The E1 + E5 trial mix shared verbatim by both paths."""
     triangle_stats = run_trials(
-        make_factory(
+        SeededFactory(
             TriangleRandomOrder,
-            t_guess=max(1.0, float(counts["triangles"])),
-            epsilon=epsilon,
-            use_log_factor=False,
+            {
+                "t_guess": max(1.0, float(counts["triangles"])),
+                "epsilon": epsilon,
+                "use_log_factor": False,
+            },
         ),
-        make_factory(RandomOrderStream, graph=graph),
+        SeededFactory(RandomOrderStream, {"graph": graph}),
         truth=counts["triangles"],
         trials=TRIALS,
         base_seed=SEED,
         n_jobs=n_jobs,
     )
     fourcycle_stats = run_trials(
-        make_factory(EdgeSamplingFourCycles, p=0.1),
-        make_factory(RandomOrderStream, graph=graph),
+        SeededFactory(EdgeSamplingFourCycles, {"p": 0.1}),
+        SeededFactory(RandomOrderStream, {"graph": graph}),
         truth=counts["four_cycles"],
         trials=TRIALS,
         base_seed=SEED,

@@ -12,7 +12,6 @@ from .parallel import (
     TrialSpec,
     derive_retry_seed,
     execute_trial,
-    make_factory,
     parallel_map,
     resolve_n_jobs,
     seed_schedule,
@@ -43,7 +42,6 @@ __all__ = [
     "TrialSpec",
     "derive_retry_seed",
     "execute_trial",
-    "make_factory",
     "parallel_map",
     "resolve_n_jobs",
     "seed_schedule",

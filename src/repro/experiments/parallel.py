@@ -5,37 +5,37 @@ independent (algorithm-seed, stream-seed) pairs, so the engine is a
 thin, deterministic fan-out:
 
 * :func:`seed_schedule` is the *single source of truth* for the serial
-  seed schedule (``base_seed * 1000 + i`` / ``+ 500 + i``).  Parallel
-  execution reuses it verbatim, so ``n_jobs=1`` and ``n_jobs=8``
-  produce bit-identical results — each trial's randomness is a pure
-  function of its seeds, never of scheduling order.
+  seed schedule (``base_seed * 1000 + i`` / ``+ 500 + i``, so at most
+  500 trials per base seed).  Parallel execution reuses it verbatim, so
+  ``n_jobs=1`` and ``n_jobs=8`` produce bit-identical results — each
+  trial's randomness is a pure function of its seeds, never of
+  scheduling order.
 
 * :class:`TrialSpec` is the picklable unit of work shipped to worker
   processes; :func:`execute_trial` is the module-level worker entry
   point (bound methods and lambdas cannot cross the pickle boundary).
 
-* :func:`parallel_map` / :class:`ParallelTrialRunner` dispatch specs
-  over a process pool, falling back to in-process execution — with the
-  same results — when the work is not picklable (e.g. lambda
-  factories) or when ``n_jobs == 1``.
+* :class:`ParallelTrialRunner` runs every trial through one
+  submit-and-harvest loop under a :class:`RetryPolicy`: per-trial
+  wall-clock timeouts, bounded retries with deterministically derived
+  seeds (:func:`derive_retry_seed`), recovery from worker crashes
+  (``BrokenProcessPool``) by re-executing the unfinished specs
+  in-process, and a space-budget guard that *flags* over-budget trials
+  instead of aborting the sweep.  The default policy is zero retries,
+  no timeout and no budget.  ``n_jobs == 1`` — or factories that cannot
+  be pickled, such as lambdas — run the same loop in-process.
+
+* :func:`parallel_map` is the plain order-preserving fan-out (sweep
+  points, CLI work lists); :func:`run_captured` is the per-unit
+  telemetry capture that trials and sweep points share.
 
 * :class:`SeededFactory` adapts ``Class(**kwargs, seed=seed)``
   construction into a picklable factory so call sites can opt into real
   multi-process execution without writing one-off top-level functions.
-
-* :class:`RetryPolicy` arms the hardened execution path: per-trial
-  wall-clock timeouts, bounded retries with deterministically derived
-  seeds (:func:`derive_retry_seed`), recovery from worker crashes
-  (``BrokenProcessPool``) by re-executing only the failed specs
-  in-process, and a space-budget guard that *flags* over-budget trials
-  instead of aborting the sweep.  With the default (inactive) policy
-  the engine takes exactly the historical code path, so fault-free
-  serial and parallel runs stay bit-identical.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import time
@@ -44,14 +44,17 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..core.result import EstimateResult
+from ..obs.trace import NULL_SPAN
 from ..resilience.errors import (
     SpaceBudgetExceeded,
     TrialRetryError,
     TrialTimeoutError,
 )
+from ..seeding import derive_seed
 from ..streams.meter import SpaceMeter
 from .. import obs as _obs
 
@@ -92,12 +95,7 @@ def _is_picklable(obj: Any) -> bool:
         return False
 
 
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    n_jobs: int = 1,
-    chunksize: int = 1,
-) -> List[R]:
+def parallel_map(fn: Callable[[T], R], items: Sequence[T], n_jobs: int = 1) -> List[R]:
     """``[fn(x) for x in items]``, optionally over a process pool.
 
     Results are returned in input order regardless of completion order.
@@ -118,7 +116,32 @@ def parallel_map(
         )
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as executor:
-        return list(executor.map(fn, items, chunksize=chunksize))
+        return list(executor.map(fn, items))
+
+
+def run_captured(
+    index: int,
+    enabled: bool,
+    body: Callable[[Any, Any], T],
+    name: str,
+    kind: str,
+    **attrs: Any,
+) -> Tuple[T, Optional[_obs.TrialTelemetry]]:
+    """Run ``body(span, metrics)`` as unit ``index`` of a fan-out.
+
+    When ``enabled``, the unit runs in a fresh telemetry capture
+    (:func:`repro.obs.capture`) inside one span ``name``, and the
+    picklable export is returned next to ``body``'s value for the parent
+    to absorb in index order — identically in a worker process and
+    in-process.  Otherwise ``body`` gets the no-op span and metrics and
+    the export is ``None``.
+    """
+    if not enabled:
+        return body(NULL_SPAN, _obs.NULL_METRICS), None
+    with _obs.capture(index) as telemetry:
+        with telemetry.tracer.span(name, kind=kind, **attrs) as span:
+            value = body(span, telemetry.metrics)
+    return value, telemetry.export(index)
 
 
 @dataclass(frozen=True)
@@ -126,8 +149,8 @@ class SeededFactory:
     """A picklable ``seed -> target(**kwargs, seed=seed)`` factory.
 
     Works for any top-level class or function: algorithm factories
-    (``SeededFactory(TriangleRandomOrder, t_guess=90, epsilon=0.3)``)
-    and stream factories (``SeededFactory(RandomOrderStream, graph=g)``)
+    (``SeededFactory(TriangleRandomOrder, {"t_guess": 90, "epsilon": 0.3})``)
+    and stream factories (``SeededFactory(RandomOrderStream, {"graph": g})``)
     alike.  ``seed_param=None`` drops the seed for deterministic targets
     (e.g. ``CormodeJowhariTriangles`` takes no seed).
     """
@@ -142,24 +165,23 @@ class SeededFactory:
         return self.target(**{**self.kwargs, self.seed_param: seed})
 
 
-def make_factory(
-    target: Callable[..., Any], seed_param: Optional[str] = "seed", **kwargs: Any
-) -> SeededFactory:
-    """Convenience constructor: ``make_factory(Cls, a=1)`` ==
-    ``SeededFactory(Cls, {"a": 1})``."""
-    return SeededFactory(target=target, kwargs=kwargs, seed_param=seed_param)
-
-
 def seed_schedule(base_seed: int, trials: int) -> List[Tuple[int, int]]:
     """The serial (algorithm_seed, stream_seed) schedule for each trial.
 
     Trial ``i`` uses algorithm seed ``base_seed * 1000 + i`` and stream
     seed ``base_seed * 1000 + 500 + i`` so neither is shared across
     trials or between the two sources of randomness.  Both the serial
-    and parallel runners consume exactly this schedule.
+    and parallel runners consume exactly this schedule.  Beyond 500
+    trials the two ranges would overlap (and spill into the next base
+    seed's), so larger requests are rejected.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if trials > 500:
+        raise ValueError(
+            f"at most 500 trials per base seed, got {trials}: trial 500's "
+            "algorithm seed would repeat trial 0's stream seed"
+        )
     return [
         (base_seed * 1000 + i, base_seed * 1000 + 500 + i) for i in range(trials)
     ]
@@ -168,29 +190,30 @@ def seed_schedule(base_seed: int, trials: int) -> List[Tuple[int, int]]:
 def derive_retry_seed(seed: int, attempt: int) -> int:
     """The seed a retry attempt uses, derived deterministically.
 
-    Attempt 0 is the scheduled seed itself; attempt ``k > 0`` hashes
-    ``(seed, k)`` so retries explore fresh randomness without colliding
-    with any seed :func:`seed_schedule` could ever hand out, while the
-    whole retry chain stays reproducible from the base seed alone.
+    Attempt 0 is the scheduled seed itself; attempt ``k > 0`` is
+    ``derive_seed("runner:retry", k, seed=seed)`` — a 63-bit hash, so
+    retries explore fresh randomness without colliding with any seed
+    :func:`seed_schedule` could ever hand out, while the whole retry
+    chain stays reproducible from the base seed alone.
     """
     if attempt < 0:
         raise ValueError(f"attempt must be non-negative, got {attempt}")
     if attempt == 0:
         return seed
-    digest = hashlib.sha256(f"retry:{seed}:{attempt}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:6], "big")
+    return derive_seed("runner:retry", attempt, seed=seed)
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the hardened runner treats misbehaving trials.
+    """How the runner treats misbehaving trials.
 
     Attributes:
         max_retries: how many times a failing (raising or timed-out)
             trial is re-attempted, each with :func:`derive_retry_seed`
-            seeds.  After the last attempt the original error is
-            re-raised (wrapped in :class:`TrialRetryError` /
-            :class:`TrialTimeoutError`).
+            seeds.  With no retries a trial's own exception reaches the
+            caller unchanged; after the last of ``k > 0`` retries it is
+            wrapped in :class:`TrialRetryError`.  A timeout with no
+            retries left raises :class:`TrialTimeoutError`.
         timeout_seconds: per-trial wall-clock budget.  In pool mode a
             trial that exceeds it is abandoned (its worker result is
             discarded) and retried; in-process the trial cannot be
@@ -201,9 +224,6 @@ class RetryPolicy:
             (``details["space_budget_exceeded"]``), never aborted; an
             algorithm that raises :class:`SpaceBudgetExceeded` mid-run
             degrades to a flagged partial result.
-
-    The default policy is inactive: the engine takes the historical
-    code path, preserving bit-identical serial==parallel results.
     """
 
     max_retries: int = 0
@@ -221,14 +241,6 @@ class RetryPolicy:
             raise ValueError(
                 f"space_budget_items must be positive, got {self.space_budget_items}"
             )
-
-    @property
-    def active(self) -> bool:
-        return (
-            self.max_retries > 0
-            or self.timeout_seconds is not None
-            or self.space_budget_items is not None
-        )
 
 
 @dataclass(frozen=True)
@@ -295,10 +307,7 @@ def _finalize(result: EstimateResult, spec: TrialSpec, seeds: Tuple[int, int]) -
             "stream_seed": seeds[1],
         }
         _mark_anomaly(result, f"retried (attempt {spec.attempt})")
-    if (
-        spec.timeout_seconds is not None
-        and result.wall_seconds > spec.timeout_seconds
-    ):
+    if spec.timeout_seconds is not None and result.wall_seconds > spec.timeout_seconds:
         _mark_anomaly(
             result,
             f"wall clock {result.wall_seconds:.3f}s exceeded the "
@@ -309,12 +318,11 @@ def _finalize(result: EstimateResult, spec: TrialSpec, seeds: Tuple[int, int]) -
 def execute_trial(spec: TrialSpec) -> EstimateResult:
     """Run one trial (module-level so process pools can import it).
 
-    The trial's wall-clock duration always lands in
-    ``result.wall_seconds``.  When ``spec.capture_telemetry`` is set,
-    the trial additionally runs inside a fresh telemetry session — in
-    the worker process or in-process, identically — and the picklable
-    capture is attached as ``result.telemetry`` for the parent to merge
-    in trial-index order.
+    The trial's wall-clock duration lands in ``result.wall_seconds``.
+    When ``spec.capture_telemetry`` is set the trial runs inside
+    :func:`run_captured` — in the worker process or in-process,
+    identically — and the capture is attached as ``result.telemetry``
+    for the parent to merge in trial-index order.
 
     A non-zero ``spec.attempt`` (a retry) derives its effective seeds
     with :func:`derive_retry_seed` and records them in
@@ -324,34 +332,56 @@ def execute_trial(spec: TrialSpec) -> EstimateResult:
     stream_seed = derive_retry_seed(spec.stream_seed, spec.attempt)
     algorithm = spec.algorithm_factory(algorithm_seed)
     stream = spec.stream_factory(stream_seed)
-    if not spec.capture_telemetry:
+
+    def trial(span: Any, metrics: Any) -> EstimateResult:
         start = time.perf_counter()
         result = _guarded_run(algorithm, stream, spec)
         result.wall_seconds = time.perf_counter() - start
-        _finalize(result, spec, (algorithm_seed, stream_seed))
+        span.set("estimate", result.estimate)
+        span.set("passes", result.passes)
+        span.set("space_peak", result.space_items)
+        if spec.attempt:
+            span.set("attempt", spec.attempt)
+        timeline = result.space.timeline(max_points=32)
+        if timeline:
+            span.set("space_timeline", timeline)
+        metrics.observe("trial.space_items", result.space_items)
         return result
-    with _obs.capture(spec.index) as telemetry:
-        start = time.perf_counter()
-        with telemetry.tracer.span(
-            f"trial[{spec.index}]",
-            kind="trial",
-            algorithm_seed=algorithm_seed,
-            stream_seed=stream_seed,
-        ) as span:
-            result = _guarded_run(algorithm, stream, spec)
-            span.set("estimate", result.estimate)
-            span.set("passes", result.passes)
-            span.set("space_peak", result.space_items)
-            if spec.attempt:
-                span.set("attempt", spec.attempt)
-            timeline = result.space.timeline(max_points=32)
-            if timeline:
-                span.set("space_timeline", timeline)
-        result.wall_seconds = time.perf_counter() - start
-        telemetry.metrics.observe("trial.space_items", result.space_items)
-    result.telemetry = telemetry.export(spec.index)
+
+    result, result_telemetry = run_captured(
+        spec.index,
+        spec.capture_telemetry,
+        trial,
+        f"trial[{spec.index}]",
+        kind="trial",
+        algorithm_seed=algorithm_seed,
+        stream_seed=stream_seed,
+    )
+    result.telemetry = result_telemetry
     _finalize(result, spec, (algorithm_seed, stream_seed))
     return result
+
+
+class _Deferred(partial):
+    """An in-process future: the call runs when its result is harvested.
+
+    There is no worker to preempt, so ``timeout`` is not enforced here;
+    :func:`_finalize` flags an overrun after the fact instead.
+    """
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        return self()
+
+
+class _InProcessExecutor:
+    """The ``n_jobs == 1`` executor: trials run one at a time, in
+    submission order, as the runner harvests them."""
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> _Deferred:
+        return _Deferred(fn, *args)
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
 
 
 class ParallelTrialRunner:
@@ -360,29 +390,20 @@ class ParallelTrialRunner:
     The runner guarantees that results are ordered by trial index and
     that each trial sees exactly the seeds :func:`seed_schedule`
     assigns, so ``ParallelTrialRunner(n_jobs=1)`` and ``n_jobs=8`` are
-    bit-identical.  Non-picklable factories silently degrade to
-    in-process execution (with a warning) — still correct, just serial.
+    bit-identical.  Non-picklable factories degrade to in-process
+    execution (with a warning) — still correct, just serial.
 
-    Passing an active :class:`RetryPolicy` switches to the hardened
-    path: trials are submitted individually (not chunk-mapped) so each
-    can be timed out, retried with derived seeds, or — when a worker
-    process dies (``BrokenProcessPool``) — re-executed in-process.
-    Recovery events are appended to :attr:`last_events` and counted
-    into the active telemetry as ``runner.retries`` /
-    ``runner.timeouts`` / ``runner.worker_crashes`` /
-    ``runner.space_budget_flags``.
+    Every trial is submitted individually and harvested in index order
+    under the runner's :class:`RetryPolicy`, so it can be timed out,
+    retried with derived seeds, or — when a worker process dies
+    (``BrokenProcessPool``) — re-executed in-process.  Recovery events
+    are appended to :attr:`last_events` and counted into the active
+    telemetry as ``runner.retries`` / ``runner.timeouts`` /
+    ``runner.worker_crashes`` / ``runner.space_budget_flags``.
     """
 
-    def __init__(
-        self,
-        n_jobs: int = 1,
-        chunksize: int = 1,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
+    def __init__(self, n_jobs: int = 1, retry: Optional[RetryPolicy] = None) -> None:
         self.n_jobs = resolve_n_jobs(n_jobs)
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be positive, got {chunksize}")
-        self.chunksize = chunksize
         self.retry = retry if retry is not None else RetryPolicy()
         self.last_events: List[Dict[str, Any]] = []
 
@@ -414,22 +435,36 @@ class ParallelTrialRunner:
                 seed_schedule(base_seed, trials)
             )
         ]
-        if not policy.active:
-            # Historical fast path: chunk-mapped, zero bookkeeping —
-            # and trivially bit-identical to previous releases.
-            return parallel_map(
-                execute_trial, specs, n_jobs=self.n_jobs, chunksize=self.chunksize
-            )
         self.last_events = []
-        results = self._run_hardened(specs)
+        jobs = min(self.n_jobs, trials)
+        if jobs > 1 and not (
+            _is_picklable(algorithm_factory) and _is_picklable(stream_factory)
+        ):
+            warnings.warn(
+                "ParallelTrialRunner fell back to in-process execution: the "
+                "trial factories are not picklable (lambdas/closures cannot "
+                "cross process boundaries); use module-level callables or "
+                "SeededFactory for real parallelism",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            jobs = 1
+        results: Dict[int, EstimateResult] = {}
+        recovered: List[int] = []
+        while specs:
+            specs, crashed = self._round(specs, jobs, results)
+            if crashed:
+                recovered.extend(crashed)
+                jobs = 1  # the pool is poisoned: finish in-process
+        for index in recovered:
+            _mark_anomaly(results[index], "re-executed in-process after a worker crash")
         flagged = sum(
-            1 for r in results if r.details.get("space_budget_exceeded")
+            1 for r in results.values() if r.details.get("space_budget_exceeded")
         )
         if flagged:
             _obs.current().metrics.inc("runner.space_budget_flags", flagged)
-        return results
+        return [results[i] for i in range(trials)]
 
-    # -- hardened path ---------------------------------------------------
     def _event(self, kind: str, spec: TrialSpec, detail: str) -> None:
         self.last_events.append(
             {
@@ -449,120 +484,79 @@ class ParallelTrialRunner:
         _obs.current().metrics.inc("runner.retries")
         return bumped
 
-    def _run_inprocess(self, spec: TrialSpec) -> EstimateResult:
-        """Execute one spec here, applying the bounded retry loop."""
-        while True:
-            try:
-                return execute_trial(spec)
-            except Exception as exc:  # noqa: BLE001 — retried, then chained
-                if not self._attempts_left(spec):
-                    raise TrialRetryError(
-                        f"trial {spec.index} failed on attempt {spec.attempt} "
-                        f"(algorithm seed "
-                        f"{derive_retry_seed(spec.algorithm_seed, spec.attempt)}, "
-                        f"stream seed "
-                        f"{derive_retry_seed(spec.stream_seed, spec.attempt)}) "
-                        f"with no retries left: {exc!r}"
-                    ) from exc
-                spec = self._retry_spec(spec, repr(exc))
-
-    def _run_hardened(self, specs: List[TrialSpec]) -> List[EstimateResult]:
-        jobs = min(self.n_jobs, len(specs))
-        pool_eligible = jobs > 1 and len(specs) > 1
-        if pool_eligible and not all(_is_picklable(spec) for spec in specs):
-            warnings.warn(
-                "ParallelTrialRunner fell back to in-process execution: the "
-                "trial specs are not picklable (lambdas/closures cannot cross "
-                "process boundaries); use module-level callables or "
-                "SeededFactory for real parallelism",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            pool_eligible = False
-        results: Dict[int, EstimateResult] = {}
-        if not pool_eligible:
-            for spec in specs:
-                results[spec.index] = self._run_inprocess(spec)
-            return [results[i] for i in sorted(results)]
-        round_specs = specs
-        while round_specs:
-            round_specs = self._pool_round(round_specs, jobs, results)
-        return [results[i] for i in sorted(results)]
-
-    def _pool_round(
+    def _round(
         self,
-        round_specs: List[TrialSpec],
+        specs: List[TrialSpec],
         jobs: int,
         results: Dict[int, EstimateResult],
-    ) -> List[TrialSpec]:
-        """Submit one round of specs to a fresh pool.
+    ) -> Tuple[List[TrialSpec], List[int]]:
+        """Submit ``specs`` and harvest them, in order, into ``results``.
 
-        Returns the specs to run next round (retries).  Worker crashes
-        poison the whole pool (``BrokenProcessPool``), so every spec
-        not yet harvested is re-executed in-process — only the failed
-        work is redone, finished futures keep their results.
+        Returns the specs for the next round — retries, plus every spec
+        left unharvested when a worker crash broke the pool — and the
+        indices of those crash survivors.  Finished futures keep their
+        results, so only the failed work is redone.
         """
-        retry_next: List[TrialSpec] = []
-        recover_inprocess: List[TrialSpec] = []
         timeout = self.retry.timeout_seconds
-        executor = ProcessPoolExecutor(max_workers=min(jobs, len(round_specs)))
-        broken = False
+        executor = (
+            ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
+            if jobs > 1
+            else _InProcessExecutor()
+        )
+        # Only a pool wait with a timeout runs out; any other
+        # TimeoutError is the trial's own.
+        waited_out = FuturesTimeoutError if timeout is not None and jobs > 1 else ()
+        pending: List[TrialSpec] = []
+        crashed: List[int] = []
         abandoned = False
         try:
-            futures = [
-                (spec, executor.submit(execute_trial, spec)) for spec in round_specs
-            ]
+            futures = [(spec, executor.submit(execute_trial, spec)) for spec in specs]
             for spec, future in futures:
-                if broken:
-                    # Pool already poisoned: keep finished results,
-                    # queue everything else for in-process recovery.
-                    if future.done() and not future.cancelled():
-                        try:
-                            results[spec.index] = future.result()
-                            continue
-                        except Exception:
-                            pass
-                    recover_inprocess.append(spec)
+                if crashed:
+                    # The pool is poisoned: keep what finished, rerun the rest.
+                    finished = future.done() and not future.cancelled()
+                    if finished and future.exception() is None:
+                        results[spec.index] = future.result()
+                    else:
+                        pending.append(spec)
+                        crashed.append(spec.index)
                     continue
                 try:
                     results[spec.index] = future.result(timeout=timeout)
-                except FuturesTimeoutError:
+                except waited_out:
                     abandoned = True
-                    self._event(
-                        "timeout", spec, f"exceeded {timeout}s wall clock"
-                    )
+                    self._event("timeout", spec, f"exceeded {timeout}s wall clock")
                     _obs.current().metrics.inc("runner.timeouts")
-                    if self._attempts_left(spec):
-                        retry_next.append(self._retry_spec(spec, "timeout"))
-                    else:
+                    if not self._attempts_left(spec):
                         raise TrialTimeoutError(
                             f"trial {spec.index} exceeded its {timeout}s "
                             f"timeout on attempt {spec.attempt} with no "
                             "retries left"
                         ) from None
+                    pending.append(self._retry_spec(spec, "timeout"))
                 except BrokenProcessPool:
-                    broken = True
                     self._event(
-                        "worker_crash",
-                        spec,
-                        "process pool broke; recovering in-process",
+                        "worker_crash", spec, "process pool broke; recovering in-process"
                     )
                     _obs.current().metrics.inc("runner.worker_crashes")
-                    recover_inprocess.append(spec)
+                    pending.append(spec)
+                    crashed.append(spec.index)
                 except Exception as exc:  # noqa: BLE001 — bounded retry
                     if self._attempts_left(spec):
-                        retry_next.append(self._retry_spec(spec, repr(exc)))
+                        pending.append(self._retry_spec(spec, repr(exc)))
+                    elif not self.retry.max_retries:
+                        raise
                     else:
                         raise TrialRetryError(
-                            f"trial {spec.index} failed on attempt "
-                            f"{spec.attempt} with no retries left: {exc!r}"
+                            f"trial {spec.index} failed on attempt {spec.attempt} "
+                            f"(algorithm seed "
+                            f"{derive_retry_seed(spec.algorithm_seed, spec.attempt)}, "
+                            f"stream seed "
+                            f"{derive_retry_seed(spec.stream_seed, spec.attempt)}) "
+                            f"with no retries left: {exc!r}"
                         ) from exc
         finally:
-            # wait=False: a hung worker (the timeout case) must not
+            # wait=False: a hung or dead worker (timeout, crash) must not
             # block the sweep; its eventual result is discarded.
-            executor.shutdown(wait=not (broken or abandoned), cancel_futures=True)
-        for spec in recover_inprocess:
-            result = self._run_inprocess(spec)
-            _mark_anomaly(result, "re-executed in-process after a worker crash")
-            results[spec.index] = result
-        return retry_next
+            executor.shutdown(wait=not (crashed or abandoned), cancel_futures=True)
+        return pending, crashed

@@ -35,7 +35,7 @@ from ..graphs.graph import Graph
 from ..resilience.checkpoint import NULL_CHECKPOINT, CheckpointContext
 from ..resilience.faults import FaultPlan, FaultyStream
 from ..streams import POLICY_REPAIR, RandomOrderStream, ValidatedStream
-from .parallel import make_factory
+from .parallel import SeededFactory
 from .runner import run_trials
 from .workloads import build_workload
 
@@ -94,34 +94,32 @@ def robustness_records(
             "mv-triangle-ro (Thm 2.1)",
             triangle_workload,
             float(t3),
-            make_factory(TriangleRandomOrder, t_guess=t3, epsilon=0.3),
+            SeededFactory(TriangleRandomOrder, {"t_guess": t3, "epsilon": 0.3}),
         ),
         (
             "three-pass (Thm 5.3)",
             four_cycle_workload,
             float(c4),
-            make_factory(
+            SeededFactory(
                 FourCycleArbitraryThreePass,
-                t_guess=c4,
-                epsilon=0.3,
-                eta=2.0,
-                c=0.6,
-                use_log_factor=False,
+                dict(t_guess=c4, epsilon=0.3, eta=2.0, c=0.6, use_log_factor=False),
             ),
         ),
         (
             "cormode-jowhari",
             triangle_workload,
             float(t3),
-            make_factory(
-                CormodeJowhariTriangles, seed_param=None, t_guess=t3, epsilon=0.3
+            SeededFactory(
+                CormodeJowhariTriangles,
+                {"t_guess": t3, "epsilon": 0.3},
+                seed_param=None,
             ),
         ),
         (
             "edge-sampling-4c",
             four_cycle_workload,
             float(c4),
-            make_factory(EdgeSamplingFourCycles, p=0.5),
+            SeededFactory(EdgeSamplingFourCycles, {"p": 0.5}),
         ),
     ]
     rows: List[Record] = []

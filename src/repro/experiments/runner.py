@@ -119,10 +119,11 @@ def run_trials(
     so the stats are bit-identical for any ``n_jobs``; non-picklable
     factories (lambdas) degrade to in-process execution with a warning.
 
-    ``retry`` arms the hardened engine (timeouts, bounded retries with
-    derived seeds, worker-crash recovery, space-budget flagging — see
-    :class:`~repro.experiments.parallel.RetryPolicy`).  Trials that
-    needed intervention land in :attr:`TrialStats.anomalies`.
+    ``retry`` sets timeouts, bounded retries with derived seeds and
+    space-budget flagging (see
+    :class:`~repro.experiments.parallel.RetryPolicy`); worker crashes
+    are recovered under any policy.  Trials that needed intervention
+    land in :attr:`TrialStats.anomalies`.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")

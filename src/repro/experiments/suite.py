@@ -30,7 +30,7 @@ from ..lowerbounds import (
 )
 from ..resilience.checkpoint import NULL_CHECKPOINT, CheckpointContext
 from ..streams import AdjacencyListStream, RandomOrderStream
-from .parallel import make_factory
+from .parallel import SeededFactory
 from .robustness import robustness_records
 from .runner import run_trials
 from .workloads import build_workload
@@ -62,12 +62,14 @@ def _e1_light(
     for name, factory in (
         (
             "mv-triangle-ro (Thm 2.1)",
-            make_factory(TriangleRandomOrder, t_guess=truth, epsilon=0.3),
+            SeededFactory(TriangleRandomOrder, {"t_guess": truth, "epsilon": 0.3}),
         ),
         (
             "cormode-jowhari",
-            make_factory(
-                CormodeJowhariTriangles, seed_param=None, t_guess=truth, epsilon=0.3
+            SeededFactory(
+                CormodeJowhariTriangles,
+                {"t_guess": truth, "epsilon": 0.3},
+                seed_param=None,
             ),
         ),
     ):
@@ -75,7 +77,7 @@ def _e1_light(
         def _measure(_name=name, _factory=factory) -> Record:
             stats = run_trials(
                 _factory,
-                make_factory(RandomOrderStream, graph=workload.graph),
+                SeededFactory(RandomOrderStream, {"graph": workload.graph}),
                 truth=truth,
                 trials=5,
                 base_seed=seed,
@@ -148,8 +150,8 @@ def _e5_light(
 
     def _measure() -> Record:
         stats = run_trials(
-            make_factory(FourCycleAdjacencyDiamond, t_guess=truth, epsilon=0.3),
-            make_factory(AdjacencyListStream, graph=workload.graph),
+            SeededFactory(FourCycleAdjacencyDiamond, {"t_guess": truth, "epsilon": 0.3}),
+            SeededFactory(AdjacencyListStream, {"graph": workload.graph}),
             truth=truth,
             trials=3,
             base_seed=seed,
@@ -178,15 +180,11 @@ def _e8_light(
 
     def _measure() -> Record:
         stats = run_trials(
-            make_factory(
+            SeededFactory(
                 FourCycleArbitraryThreePass,
-                t_guess=truth,
-                epsilon=0.3,
-                eta=2.0,
-                c=0.6,
-                use_log_factor=False,
+                dict(t_guess=truth, epsilon=0.3, eta=2.0, c=0.6, use_log_factor=False),
             ),
-            make_factory(RandomOrderStream, graph=workload.graph),
+            SeededFactory(RandomOrderStream, {"graph": workload.graph}),
             truth=truth,
             trials=3,
             base_seed=seed,

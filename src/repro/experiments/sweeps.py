@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .. import obs as _obs
+from .parallel import parallel_map, run_captured
 
 
 @dataclass
@@ -45,10 +46,7 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class _SweepTask:
-    """Picklable per-point worker: runs ``measure`` under a fresh
-    telemetry capture (when the parent session is active) so sweep
-    points fanned across processes report the same spans and metrics
-    as a serial sweep."""
+    """Picklable per-point work: ``measure(parameter)`` and how to trace it."""
 
     index: int
     parameter_name: str
@@ -56,22 +54,20 @@ class _SweepTask:
     measure: Callable[[float], Dict[str, float]]
     capture_telemetry: bool = False
 
-    def __call__(self, _: object = None) -> Tuple[Dict[str, float], object]:
-        if not self.capture_telemetry:
-            return self.measure(self.parameter), None
-        with _obs.capture(self.index) as telemetry:
-            with telemetry.tracer.span(
-                f"point[{self.index}]",
-                kind="sweep-point",
-                parameter=self.parameter_name,
-                value=self.parameter,
-            ):
-                output = self.measure(self.parameter)
-        return output, telemetry.export(self.index)
 
-
-def _run_sweep_task(task: "_SweepTask") -> Tuple[Dict[str, float], object]:
-    return task()
+def _run_sweep_task(task: _SweepTask) -> Tuple[Dict[str, float], object]:
+    """Measure one point, under a fresh telemetry capture when the parent
+    session is active, so sweep points fanned across processes report
+    the same spans and metrics as a serial sweep."""
+    return run_captured(
+        task.index,
+        task.capture_telemetry,
+        lambda span, metrics: task.measure(task.parameter),
+        f"point[{task.index}]",
+        kind="sweep-point",
+        parameter=task.parameter_name,
+        value=task.parameter,
+    )
 
 
 def run_sweep(
@@ -100,7 +96,6 @@ def run_sweep(
     recorded by the interrupted run).
     """
     from ..resilience.checkpoint import NULL_CHECKPOINT, is_missing
-    from .parallel import parallel_map
 
     if checkpoint is None:
         checkpoint = NULL_CHECKPOINT

@@ -6,7 +6,7 @@ real runs actually hit:
 * corrupted input streams — :class:`FaultPlan` / :class:`FaultyStream`
   inject seeded faults, :class:`~repro.streams.validation.ValidatedStream`
   applies the ``strict`` / ``repair`` / ``skip`` policies;
-* dying workers and runaway trials — the hardened
+* dying workers and runaway trials — the
   :class:`~repro.experiments.parallel.ParallelTrialRunner` (retry,
   timeout, crash recovery) lives in :mod:`repro.experiments.parallel`
   and raises the error types defined here;

@@ -11,7 +11,7 @@ class SpaceBudgetExceeded(RuntimeError):
     """A trial's peak space crossed the configured budget.
 
     Raised only when the caller asked for ``on_budget="raise"``; the
-    default behavior of the hardened runner is to *flag* the trial
+    default behavior of the trial runner is to *flag* the trial
     (``result.details["space_budget_exceeded"]``) and keep the sweep
     alive — one runaway trial should degrade, not abort.
     """

@@ -12,11 +12,11 @@ The file's line order is the arrival order — i.e. this is an
 file once offline (``repro.graphs.io.write_edge_list`` after a
 permutation) rather than in memory.
 
-Malformed lines are governed by the same validation policies as the
-in-memory models (:mod:`repro.streams.policies`): the default is
-``repair`` — drop self loops and (when ``deduplicate``) repeated edges,
-counting them into the active telemetry as ``stream.faults.<kind>`` —
-while ``strict`` raises :class:`StreamFaultError` on the first fault.
+Malformed lines are repaired: self loops and (when ``deduplicate``)
+repeated edges are dropped and counted into the active telemetry as
+``stream.faults.<kind>``, and endpoints are canonicalized.  For strict
+or skip handling, wrap the stream in
+:class:`~repro.streams.validation.ValidatedStream`.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from typing import Dict, Iterator, Optional, Set
 from ..graphs.graph import Edge, normalize_edge
 from ..graphs.io import PathLike, iter_edge_list
 from .models import StreamSource
-from .policies import (
-    POLICY_REPAIR,
-    POLICY_STRICT,
-    StreamFaultError,
-    check_policy,
-    emit_fault_counts,
-)
+from .policies import emit_fault_counts
 
 
 class FileEdgeStream(StreamSource):
@@ -45,10 +39,6 @@ class FileEdgeStream(StreamSource):
             stream in O(1) memory.
         precounted: optional ``(num_vertices, num_edges)`` if known,
             avoiding the initial counting pass.
-        policy: fault handling (``strict`` / ``repair`` / ``skip``);
-            under ``strict`` a self loop or duplicate raises
-            :class:`StreamFaultError` (duplicates only when
-            ``deduplicate`` is on, since detection needs the filter).
 
     The constructor takes one scan to count vertices/edges (algorithms
     need ``m`` up front, per the paper's convention) unless
@@ -60,42 +50,35 @@ class FileEdgeStream(StreamSource):
         path: PathLike,
         deduplicate: bool = True,
         precounted: Optional[tuple] = None,
-        policy: str = POLICY_REPAIR,
     ) -> None:
         super().__init__()
         self._path = path
         self._deduplicate = deduplicate
-        self._policy = check_policy(policy)
         if precounted is not None:
             self._num_vertices, self._num_edges = precounted
         else:
-            self._num_vertices, self._num_edges = self._count()
+            vertices = set()
+            count = 0
+            for edge in self._repaired({}):
+                count += 1
+                vertices.update(edge)
+            self._num_vertices, self._num_edges = len(vertices), count
 
-    def _count(self) -> tuple:
-        vertices = set()
-        seen: Set[Edge] = set()
-        count = 0
+    def _repaired(self, counts: Dict[str, int]) -> Iterator[Edge]:
+        """The file's edges, canonicalized, minus self loops and (when
+        deduplicating) repeats; dropped lines are tallied in ``counts``."""
+        seen: Optional[Set[Edge]] = set() if self._deduplicate else None
         for u, v in iter_edge_list(self._path):
             if u == v:
-                if self._policy == POLICY_STRICT:
-                    raise StreamFaultError(
-                        f"self loop {u!r}-{u!r} in {self._path} (strict policy)"
-                    )
+                counts["self_loop"] = counts.get("self_loop", 0) + 1
                 continue
             edge = normalize_edge(u, v)
-            if self._deduplicate:
+            if seen is not None:
                 if edge in seen:
-                    if self._policy == POLICY_STRICT:
-                        raise StreamFaultError(
-                            f"duplicate edge {edge!r} in {self._path} "
-                            "(strict policy)"
-                        )
+                    counts["duplicate"] = counts.get("duplicate", 0) + 1
                     continue
                 seen.add(edge)
-            count += 1
-            vertices.add(u)
-            vertices.add(v)
-        return len(vertices), count
+            yield edge
 
     @property
     def num_vertices(self) -> int:
@@ -110,29 +93,8 @@ class FileEdgeStream(StreamSource):
         return self._path
 
     def _tokens(self) -> Iterator[Edge]:
-        seen: Optional[Set[Edge]] = set() if self._deduplicate else None
         counts: Dict[str, int] = {}
         try:
-            for u, v in iter_edge_list(self._path):
-                if u == v:
-                    if self._policy == POLICY_STRICT:
-                        raise StreamFaultError(
-                            f"self loop {u!r}-{u!r} in {self._path} "
-                            "(strict policy)"
-                        )
-                    counts["self_loop"] = counts.get("self_loop", 0) + 1
-                    continue
-                edge = normalize_edge(u, v)
-                if seen is not None:
-                    if edge in seen:
-                        if self._policy == POLICY_STRICT:
-                            raise StreamFaultError(
-                                f"duplicate edge {edge!r} in {self._path} "
-                                "(strict policy)"
-                            )
-                        counts["duplicate"] = counts.get("duplicate", 0) + 1
-                        continue
-                    seen.add(edge)
-                yield edge
+            yield from self._repaired(counts)
         finally:
             emit_fault_counts(counts)

@@ -13,6 +13,12 @@
 All sources are re-iterable; each call to :meth:`StreamSource.edges`
 (or :meth:`AdjacencyListStream.adjacency_lists`) is one pass, and the
 source counts passes so experiments can assert the pass budget.
+
+The models are strict: the paper's streams carry a simple graph, so a
+self loop or duplicate edge in the input raises
+:class:`~repro.streams.policies.StreamFaultError` at construction.
+Dirty input is repaired or skipped by wrapping a source in
+:class:`~repro.streams.validation.ValidatedStream`.
 """
 
 from __future__ import annotations
@@ -23,16 +29,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..graphs.graph import Edge, Graph, Vertex, normalize_edge
 from ..seeding import component_rng
 from .. import obs as _obs
-from .policies import (
-    POLICY_REPAIR,
-    POLICY_SKIP,
-    POLICY_STRICT,
-    StreamFaultError,
-    check_policy,
-    emit_fault_counts,
-    scrub_graph_edges,
-    scrub_neighbors,
-)
+from .policies import StreamFaultError, reject_self_loops
 
 
 def _counting_tokens(tokens: Iterator[Edge], metric: str) -> Iterator[Edge]:
@@ -112,45 +109,28 @@ class StreamSource(ABC):
 class ArbitraryOrderStream(StreamSource):
     """Edges presented in exactly the order given at construction.
 
-    ``policy`` governs malformed input (see
-    :mod:`repro.streams.policies`): under ``strict`` (the default) a
-    self loop or duplicate edge raises :class:`StreamFaultError`;
-    ``repair``/``skip`` drop the faulty token, counting it into the
-    active telemetry as ``stream.faults.<kind>``.
+    A self loop or duplicate edge raises :class:`StreamFaultError`.
     """
 
-    def __init__(
-        self,
-        edges: Iterable[Tuple[Vertex, Vertex]],
-        policy: str = POLICY_STRICT,
-    ) -> None:
+    def __init__(self, edges: Iterable[Tuple[Vertex, Vertex]]) -> None:
         super().__init__()
-        check_policy(policy)
         self._edges: List[Edge] = []
         seen = set()
         vertices = set()
-        counts: dict = {}
         for u, v in edges:
             if u == v:
-                if policy == POLICY_STRICT:
-                    raise StreamFaultError(
-                        f"self loop {u!r}-{u!r} in arbitrary-order stream"
-                    )
-                counts["self_loop"] = counts.get("self_loop", 0) + 1
-                continue
+                raise StreamFaultError(
+                    f"self loop {u!r}-{u!r} in arbitrary-order stream"
+                )
             edge = normalize_edge(u, v)
             if edge in seen:
-                if policy == POLICY_STRICT:
-                    raise StreamFaultError(
-                        f"duplicate edge {edge!r} in arbitrary-order stream"
-                    )
-                counts["duplicate"] = counts.get("duplicate", 0) + 1
-                continue
+                raise StreamFaultError(
+                    f"duplicate edge {edge!r} in arbitrary-order stream"
+                )
             seen.add(edge)
             self._edges.append(edge)
             vertices.add(u)
             vertices.add(v)
-        emit_fault_counts(counts)
         self._num_vertices = len(vertices)
 
     @classmethod
@@ -179,19 +159,16 @@ class RandomOrderStream(StreamSource):
     every pass replays it.  Use :meth:`reshuffled` to get an independent
     instance (a fresh permutation) for repeated trials.
 
-    ``policy`` governs self loops that a hand-built adjacency structure
-    may contain: ``strict`` (the default) raises
-    :class:`StreamFaultError` at construction, ``repair``/``skip``
-    drop and count them.
+    A self loop in a hand-built adjacency structure raises
+    :class:`StreamFaultError` at construction.
     """
 
-    def __init__(self, graph: Graph, seed: int = 0, policy: str = POLICY_STRICT) -> None:
+    def __init__(self, graph: Graph, seed: int = 0) -> None:
         super().__init__()
         self._graph = graph
         self._seed = seed
-        self._policy = check_policy(policy)
-        self._edges, counts = scrub_graph_edges(graph, policy)
-        emit_fault_counts(counts)
+        reject_self_loops(graph)
+        self._edges = graph.edge_list()
         component_rng("stream:random-order", seed=seed).shuffle(self._edges)
 
     @property
@@ -208,7 +185,7 @@ class RandomOrderStream(StreamSource):
 
     def reshuffled(self, seed: int) -> "RandomOrderStream":
         """An independent random-order instance of the same graph."""
-        return RandomOrderStream(self._graph, seed=seed, policy=self._policy)
+        return RandomOrderStream(self._graph, seed=seed)
 
     def _tokens(self) -> Iterator[Edge]:
         return iter(self._edges)
@@ -221,6 +198,8 @@ class AdjacencyListStream(StreamSource):
     from ``seed``.  Within a list, neighbors appear in a deterministic
     shuffled order (also derived from ``seed``) — the model makes no
     promise about intra-list order, and algorithms must not rely on it.
+    A self loop in a hand-built adjacency structure raises
+    :class:`StreamFaultError` at construction.
     """
 
     def __init__(
@@ -228,11 +207,10 @@ class AdjacencyListStream(StreamSource):
         graph: Graph,
         vertex_order: Optional[Sequence[Vertex]] = None,
         seed: int = 0,
-        policy: str = POLICY_STRICT,
     ) -> None:
         super().__init__()
         self._graph = graph
-        self._policy = check_policy(policy)
+        reject_self_loops(graph)
         rng = component_rng("stream:adjacency-list", seed=seed)
         if vertex_order is None:
             order = sorted(graph.vertices(), key=repr)
@@ -243,20 +221,11 @@ class AdjacencyListStream(StreamSource):
                 raise ValueError("vertex_order must be a permutation of the vertices")
         self._order: List[Vertex] = order
         # Pre-shuffle every list once so passes replay identical tokens.
-        # ``policy`` decides what a self loop in the source adjacency
-        # does: strict raises, repair/skip drop and count it.
-        counts: dict = {}
         self._lists: List[Tuple[Vertex, List[Vertex]]] = []
-        self._scrubbed_edges = 0
         for v in order:
-            raw, loop_counts = scrub_neighbors(graph, v, policy)
-            for kind, count in loop_counts.items():
-                counts[kind] = counts.get(kind, 0) + count
-            neighbors = sorted(raw, key=repr)
+            neighbors = sorted(graph.neighbors(v), key=repr)
             rng.shuffle(neighbors)
             self._lists.append((v, neighbors))
-            self._scrubbed_edges += len(neighbors)
-        emit_fault_counts(counts)
 
     @property
     def num_vertices(self) -> int:
@@ -268,9 +237,7 @@ class AdjacencyListStream(StreamSource):
 
     @property
     def stream_length(self) -> int:
-        # 2m for a clean graph; the scrubbed token count when ``repair``
-        # dropped self loops from a malformed source adjacency.
-        return self._scrubbed_edges
+        return 2 * self._graph.num_edges
 
     @property
     def provides_adjacency(self) -> bool:
@@ -319,4 +286,4 @@ class AdjacencyListStream(StreamSource):
 
     def reshuffled(self, seed: int) -> "AdjacencyListStream":
         """An independent adjacency-order instance of the same graph."""
-        return AdjacencyListStream(self._graph, seed=seed, policy=self._policy)
+        return AdjacencyListStream(self._graph, seed=seed)

@@ -1,8 +1,9 @@
-"""Validation-policy primitives shared by the stream models.
+"""Validation-policy primitives shared by the stream sources.
 
-Kept free of any :mod:`repro.streams.models` import so the models can
-use these at construction time while :class:`ValidatedStream` (in
-:mod:`repro.streams.validation`) builds on the models — no cycle.
+Kept free of any :mod:`repro.streams.models` import so the strict
+models can use these at construction time while
+:class:`ValidatedStream` (in :mod:`repro.streams.validation`), the one
+place the policies are applied, builds on the models — no cycle.
 
 The three policies:
 
@@ -16,9 +17,8 @@ registry under ``stream.faults.<kind>`` (see docs/robustness.md).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from ..graphs.graph import Edge, normalize_edge
 from .. import obs as _obs
 
 POLICY_STRICT = "strict"
@@ -54,47 +54,16 @@ def emit_fault_counts(counts: Dict[str, int]) -> None:
             telemetry.metrics.inc(FAULT_METRIC_PREFIX + kind, count)
 
 
-def scrub_graph_edges(graph, policy: str) -> Tuple[List[Edge], Dict[str, int]]:
-    """The canonical edge list of ``graph``, with self-loops handled.
+def reject_self_loops(graph) -> None:
+    """Raise :class:`StreamFaultError` if a vertex is its own neighbor.
 
     ``Graph`` itself rejects self-loops, but a hand-built adjacency
     structure (or a subclass with looser invariants) can hold ``v`` in
-    its own neighbor set; ``Graph.edges`` would then raise deep inside
-    ``normalize_edge``.  This walks the adjacency directly so the
-    policy decides: ``strict`` raises :class:`StreamFaultError`,
-    ``repair``/``skip`` drop the loop and count it.
+    its own neighbor set; the stream models call this at construction
+    so such input fails loudly instead of deep inside ``normalize_edge``.
     """
-    check_policy(policy)
-    counts: Dict[str, int] = {}
-    edges: List[Edge] = []
     for v in graph.vertices():
-        for u in graph.neighbors(v):
-            if u == v:
-                if policy == POLICY_STRICT:
-                    raise StreamFaultError(
-                        f"self loop {v!r}-{v!r} in source graph (strict policy)"
-                    )
-                counts["self_loop"] = counts.get("self_loop", 0) + 1
-                continue
-            edge = normalize_edge(v, u)
-            if edge[0] == v:  # count each undirected edge once
-                edges.append(edge)
-    edges.sort()
-    return edges, counts
-
-
-def scrub_neighbors(graph, vertex, policy: str) -> Tuple[list, Dict[str, int]]:
-    """``graph.neighbors(vertex)`` minus self-loops, per policy."""
-    counts: Dict[str, int] = {}
-    neighbors = []
-    for u in graph.neighbors(vertex):
-        if u == vertex:
-            if policy == POLICY_STRICT:
-                raise StreamFaultError(
-                    f"self loop {vertex!r}-{vertex!r} in source graph "
-                    "(strict policy)"
-                )
-            counts["self_loop"] = counts.get("self_loop", 0) + 1
-            continue
-        neighbors.append(u)
-    return neighbors, counts
+        if v in graph.neighbors(v):
+            raise StreamFaultError(
+                f"self loop {v!r}-{v!r} in source graph (strict policy)"
+            )

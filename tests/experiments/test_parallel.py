@@ -18,7 +18,6 @@ from repro.experiments import (
     TrialSpec,
     build_workload,
     execute_trial,
-    make_factory,
     parallel_map,
     run_trials,
     seed_schedule,
@@ -66,14 +65,14 @@ class TestSeedSchedule:
 
 class TestSeededFactory:
     def test_passes_seed_through(self):
-        factory = make_factory(RandomOrderStream, graph=build_workload(
+        factory = SeededFactory(RandomOrderStream, {"graph": build_workload(
             "four-cycle-free", n_triangles=5
-        ).graph)
+        ).graph})
         assert factory(3).seed == 3
 
     def test_seedless_target(self):
-        factory = make_factory(
-            CormodeJowhariTriangles, seed_param=None, t_guess=10.0, epsilon=0.3
+        factory = SeededFactory(
+            CormodeJowhariTriangles, {"t_guess": 10.0, "epsilon": 0.3}, seed_param=None
         )
         algorithm = factory(123)
         assert algorithm.t_guess == 10.0
@@ -128,10 +127,10 @@ class TestSerialParallelEquivalence:
         workload = build_workload(
             "light-triangles", n=240, num_triangles=40, noise_edges=200
         )
-        algorithm = make_factory(
-            TriangleRandomOrder, t_guess=workload.triangles, epsilon=0.4
+        algorithm = SeededFactory(
+            TriangleRandomOrder, {"t_guess": workload.triangles, "epsilon": 0.4}
         )
-        stream = make_factory(RandomOrderStream, graph=workload.graph)
+        stream = SeededFactory(RandomOrderStream, {"graph": workload.graph})
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a fallback would hide the point
             serial = run_trials(
@@ -153,13 +152,15 @@ class TestSerialParallelEquivalence:
         workload = build_workload(
             "light-triangles", n=240, num_triangles=40, noise_edges=200
         )
-        algorithm = make_factory(
+        algorithm = SeededFactory(
             CormodeJowhariTriangles,
+            {
+                "t_guess": float(workload.triangles),
+                "epsilon": 0.4,
+            },
             seed_param=None,
-            t_guess=float(workload.triangles),
-            epsilon=0.4,
         )
-        stream = make_factory(RandomOrderStream, graph=workload.graph)
+        stream = SeededFactory(RandomOrderStream, {"graph": workload.graph})
         serial = run_trials(
             algorithm, stream, truth=workload.triangles, trials=3, base_seed=2, n_jobs=1
         )
@@ -173,15 +174,17 @@ class TestSerialParallelEquivalence:
         workload = build_workload(
             "sparse-four-cycles", n=400, num_cycles=40, noise_edges=80
         )
-        algorithm = make_factory(
+        algorithm = SeededFactory(
             FourCycleArbitraryThreePass,
-            t_guess=workload.four_cycles,
-            epsilon=0.4,
-            eta=2.0,
-            c=0.6,
-            use_log_factor=False,
+            {
+                "t_guess": workload.four_cycles,
+                "epsilon": 0.4,
+                "eta": 2.0,
+                "c": 0.6,
+                "use_log_factor": False,
+            },
         )
-        stream = make_factory(RandomOrderStream, graph=workload.graph)
+        stream = SeededFactory(RandomOrderStream, {"graph": workload.graph})
         serial = run_trials(
             algorithm, stream, truth=workload.four_cycles,
             trials=3, base_seed=5, n_jobs=1,
@@ -198,10 +201,10 @@ class TestSerialParallelEquivalence:
 class TestParallelTrialRunner:
     def test_runner_matches_direct_execution(self):
         workload = build_workload("four-cycle-free", n_triangles=30)
-        algorithm = make_factory(
-            TriangleRandomOrder, t_guess=workload.triangles, epsilon=0.5
+        algorithm = SeededFactory(
+            TriangleRandomOrder, {"t_guess": workload.triangles, "epsilon": 0.5}
         )
-        stream = make_factory(RandomOrderStream, graph=workload.graph)
+        stream = SeededFactory(RandomOrderStream, {"graph": workload.graph})
         runner = ParallelTrialRunner(n_jobs=2)
         results = runner.run(algorithm, stream, trials=3, base_seed=9)
         for i, (algo_seed, stream_seed) in enumerate(seed_schedule(9, 3)):
@@ -215,11 +218,6 @@ class TestParallelTrialRunner:
             direct = execute_trial(spec)
             assert direct.estimate == results[i].estimate
             assert direct.space_items == results[i].space_items
-
-    def test_validates_chunksize(self):
-        with pytest.raises(ValueError):
-            ParallelTrialRunner(n_jobs=1, chunksize=0)
-
 
 class TestSuiteWiring:
     def test_run_experiment_n_jobs_identical(self):

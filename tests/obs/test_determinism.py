@@ -12,7 +12,7 @@ from collections import Counter as TallyCounter
 
 from repro import obs
 from repro.core import TriangleRandomOrder
-from repro.experiments import build_workload, make_factory, run_trials
+from repro.experiments import build_workload, SeededFactory, run_trials
 from repro.obs.report import normalize_path
 from repro.streams import RandomOrderStream
 
@@ -21,10 +21,10 @@ def _traced_run(n_jobs):
     workload = build_workload(
         "light-triangles", n=240, num_triangles=40, noise_edges=200
     )
-    algorithm = make_factory(
-        TriangleRandomOrder, t_guess=workload.triangles, epsilon=0.4
+    algorithm = SeededFactory(
+        TriangleRandomOrder, {"t_guess": workload.triangles, "epsilon": 0.4}
     )
-    stream = make_factory(RandomOrderStream, graph=workload.graph)
+    stream = SeededFactory(RandomOrderStream, {"graph": workload.graph})
     with obs.session(collect_env=False) as telemetry:
         stats = run_trials(
             algorithm,
@@ -87,10 +87,10 @@ class TestSerialParallelTelemetry:
             "light-triangles", n=120, num_triangles=10, noise_edges=40
         )
         stats = run_trials(
-            make_factory(
-                TriangleRandomOrder, t_guess=workload.triangles, epsilon=0.5
+            SeededFactory(
+                TriangleRandomOrder, {"t_guess": workload.triangles, "epsilon": 0.5}
             ),
-            make_factory(RandomOrderStream, graph=workload.graph),
+            SeededFactory(RandomOrderStream, {"graph": workload.graph}),
             truth=workload.triangles,
             trials=2,
             base_seed=1,

@@ -148,14 +148,6 @@ class TestDeriveRetrySeed:
 
 
 class TestRetryPolicy:
-    def test_default_is_inactive(self):
-        assert not RetryPolicy().active
-
-    def test_any_knob_activates(self):
-        assert RetryPolicy(max_retries=1).active
-        assert RetryPolicy(timeout_seconds=1.0).active
-        assert RetryPolicy(space_budget_items=100).active
-
     def test_validation(self):
         with pytest.raises(ValueError, match="max_retries"):
             RetryPolicy(max_retries=-1)

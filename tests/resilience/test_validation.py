@@ -44,13 +44,6 @@ class TestConstructionGuards:
         with pytest.raises(StreamFaultError, match="duplicate"):
             ArbitraryOrderStream([(0, 1), (1, 0)])
 
-    def test_arbitrary_order_repair_drops(self):
-        stream = ArbitraryOrderStream(
-            [(0, 1), (2, 2), (1, 0), (1, 2)], policy=POLICY_REPAIR
-        )
-        assert stream.num_edges == 2
-        assert list(stream.edges()) == [(0, 1), (1, 2)]
-
     def _looped_graph(self):
         # Build adjacency with a self loop by hand: Graph.add_edge
         # refuses loops, so poke the internal structure the way a
@@ -63,28 +56,9 @@ class TestConstructionGuards:
         with pytest.raises(StreamFaultError, match="self loop"):
             RandomOrderStream(self._looped_graph(), seed=0)
 
-    def test_random_order_repair_drops(self):
-        stream = RandomOrderStream(self._looped_graph(), seed=0, policy=POLICY_REPAIR)
-        assert sorted(stream.edges()) == [(0, 1), (1, 2), (2, 3)]
-
     def test_adjacency_rejects_self_loop(self):
         with pytest.raises(StreamFaultError, match="self loop"):
             AdjacencyListStream(self._looped_graph(), seed=0)
-
-    def test_adjacency_repair_drops(self):
-        stream = AdjacencyListStream(
-            self._looped_graph(), seed=0, policy=POLICY_REPAIR
-        )
-        tokens = list(stream.edges())
-        assert (1, 1) not in tokens
-        assert stream.stream_length == 6  # 2m for the 3 clean edges
-
-    def test_clean_streams_unaffected_by_policy(self):
-        graph = _path_graph()
-        strict = RandomOrderStream(graph, seed=5)
-        repair = RandomOrderStream(graph, seed=5, policy=POLICY_REPAIR)
-        assert list(strict.edges()) == list(repair.edges())
-
 
 class TestValidatedStreamEdgeTokens:
     def test_passthrough_on_clean_stream(self):
