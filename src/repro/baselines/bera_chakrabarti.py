@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Set, Tuple
 
-from .. import obs as _obs
 from ..core.result import EstimateResult
+from ..core.skeleton import check_accuracy, finish, pass_span
 from ..seeding import component_rng
 from ..graphs.graph import Edge, normalize_edge
 from ..streams.meter import SpaceMeter
@@ -56,22 +56,16 @@ class BeraChakrabartiFourCycles:
         max_pairs: int = 200_000,
         seed: int = 0,
     ) -> None:
-        if t_guess < 1:
-            raise ValueError(f"t_guess must be >= 1, got {t_guess}")
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-        self.t_guess = float(t_guess)
-        self.epsilon = epsilon
+        self.t_guess, self.epsilon = check_accuracy(t_guess, epsilon)
         self.c = c
         self.max_pairs = max_pairs
         self.seed = seed
 
     def run(self, stream: StreamSource) -> EstimateResult:
         meter = SpaceMeter()
-        telemetry = _obs.current()
         m = stream.num_edges
         if m < 4:
-            return EstimateResult(0.0, 1, meter, self.name, {"empty": True})
+            return finish(self.name, 0.0, 1, meter, {"empty": True})
         k = min(
             self.max_pairs,
             max(1, math.ceil(self.c * m * m / (self.epsilon**2 * self.t_guess))),
@@ -87,11 +81,11 @@ class BeraChakrabartiFourCycles:
         for slot, pos in enumerate(positions):
             wanted.setdefault(pos, []).append(slot)
         slot_edges: List[Edge] = [None] * (2 * k)  # type: ignore[list-item]
-        with telemetry.tracer.span("pass1:pair-sample", kind="pass"):
+        with pass_span("pass1:pair-sample", meter):
             for pos, edge in enumerate(stream.edges()):
                 for slot in wanted.get(pos, ()):
                     slot_edges[slot] = edge
-        meter.set("sampled_edges", 2 * k)
+            meter.set("sampled_edges", 2 * k)
 
         pairs: List[Tuple[Edge, Edge]] = [
             (slot_edges[2 * j], slot_edges[2 * j + 1]) for j in range(k)
@@ -118,13 +112,13 @@ class BeraChakrabartiFourCycles:
 
         # ---- pass 2: observe which connecting edges exist -------------
         present: Set[Edge] = set()
-        with telemetry.tracer.span("pass2:check-completions", kind="pass") as span:
+        with pass_span("pass2:check-completions", meter) as span:
             for u, v in stream.edges():
                 edge = normalize_edge(u, v)
                 if edge in watch:
                     present.add(edge)
+            meter.set("present_marks", len(present))
             span.set("watched_edges", len(watch))
-        meter.set("present_marks", len(present))
 
         z_total = 0
         for options in completions:
@@ -132,10 +126,5 @@ class BeraChakrabartiFourCycles:
                 if first in present and second in present:
                     z_total += 1
         estimate = (m * m * z_total) / (4.0 * k)
-        if telemetry.enabled:
-            telemetry.metrics.inc(f"{self.name}.sampled_pairs", k)
-            telemetry.metrics.inc(f"{self.name}.watched_edges", len(watch))
-            telemetry.metrics.inc(f"{self.name}.completed_pairs", z_total)
-
-        details = {"pairs": k, "z_total": z_total}
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+        details = {"pairs": k, "z_total": z_total, "watched_edges": len(watch)}
+        return finish(self.name, estimate, stream.passes_taken, meter, details)

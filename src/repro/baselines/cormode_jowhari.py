@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Set
 
-from .. import obs as _obs
 from ..core.result import EstimateResult
+from ..core.skeleton import check_accuracy, finish, pass_span
 from ..graphs.graph import Vertex
 from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
@@ -48,27 +48,21 @@ class CormodeJowhariTriangles:
     name = "cormode-jowhari"
 
     def __init__(self, t_guess: float, epsilon: float = 0.1, c: float = 1.0) -> None:
-        if t_guess < 1:
-            raise ValueError(f"t_guess must be >= 1, got {t_guess}")
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-        self.t_guess = float(t_guess)
-        self.epsilon = epsilon
+        self.t_guess, self.epsilon = check_accuracy(t_guess, epsilon)
         self.c = c
 
     def run(self, stream: StreamSource) -> EstimateResult:
         meter = SpaceMeter()
         m = stream.num_edges
         if m == 0:
-            return EstimateResult(0.0, 1, meter, self.name, {"empty": True})
+            return finish(self.name, 0.0, 1, meter, {"empty": True})
         beta = min(1.0, self.c / (self.epsilon * math.sqrt(self.t_guess)))
         prefix_len = max(1, math.ceil(beta * m))
         beta_effective = prefix_len / m
 
-        telemetry = _obs.current()
         adj: Dict[Vertex, Set[Vertex]] = {}
         closed_wedges = 0
-        with telemetry.tracer.span("pass1:prefix-wedges", kind="pass"):
+        with pass_span("pass1:prefix-wedges", meter):
             for pos, (u, v) in enumerate(stream.edges(), start=1):
                 if pos <= prefix_len:
                     adj.setdefault(u, set()).add(v)
@@ -82,8 +76,6 @@ class CormodeJowhariTriangles:
                 if len(set_u) > len(set_v):
                     set_u, set_v = set_v, set_u
                 closed_wedges += sum(1 for w in set_u if w in set_v)
-        if telemetry.enabled:
-            telemetry.metrics.inc(f"{self.name}.closed_wedges", closed_wedges)
 
         if beta_effective >= 1.0:
             # prefix is the whole stream: count triangles inside it exactly
@@ -96,7 +88,7 @@ class CormodeJowhariTriangles:
             "prefix_len": prefix_len,
             "closed_wedges": closed_wedges,
         }
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+        return finish(self.name, estimate, stream.passes_taken, meter, details)
 
 
 def _count_triangles(adj: Dict[Vertex, Set[Vertex]]) -> int:

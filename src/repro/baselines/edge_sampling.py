@@ -12,8 +12,8 @@ frontier experiment (E13) shows.
 
 from __future__ import annotations
 
-from .. import obs as _obs
 from ..core.result import EstimateResult
+from ..core.skeleton import finish, pass_span
 from ..graphs import four_cycle_count, triangle_count
 from ..graphs.graph import Graph, normalize_edge
 from ..sketches.hashing import KWiseHash
@@ -22,48 +22,43 @@ from ..streams.models import StreamSource
 
 
 class _EdgeSampling:
+    """Shared sampling and scaling: ``_count(sample) / p^_order``."""
+
+    _count = None  # graph -> exact count, set per subclass
+    _order = 0  # edges per counted subgraph
+
     def __init__(self, p: float, seed: int = 0) -> None:
         if not 0 < p <= 1:
             raise ValueError(f"sampling probability must be in (0, 1], got {p}")
         self.p = p
         self.seed = seed
 
-    def _collect(self, stream: StreamSource) -> tuple[Graph, SpaceMeter]:
+    def run(self, stream: StreamSource) -> EstimateResult:
         meter = SpaceMeter()
-        telemetry = _obs.current()
         sample_hash = KWiseHash(k=2, seed=self.seed, namespace="edge-sampling.sample")
         graph = Graph()
-        with telemetry.tracer.span("pass1:sample", kind="pass"):
+        with pass_span("pass1:sample", meter):
             for u, v in stream.edges():
                 if sample_hash.bernoulli(normalize_edge(u, v), self.p):
                     if graph.add_edge(u, v):
                         meter.add("sampled_edges")
-        if telemetry.enabled:
-            telemetry.metrics.inc(f"{self.name}.sampled_edges", graph.num_edges)
-        return graph, meter
+        surviving = self._count(graph)
+        estimate = surviving / self.p**self._order
+        details = {"surviving": surviving, "p": self.p, "sampled_edges": graph.num_edges}
+        return finish(self.name, estimate, stream.passes_taken, meter, details)
 
 
 class EdgeSamplingTriangles(_EdgeSampling):
     """T_hat = (surviving triangles) / p^3."""
 
     name = "edge-sampling-triangles"
-
-    def run(self, stream: StreamSource) -> EstimateResult:
-        graph, meter = self._collect(stream)
-        surviving = triangle_count(graph)
-        estimate = surviving / self.p**3
-        details = {"surviving": surviving, "p": self.p}
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+    _count = staticmethod(triangle_count)
+    _order = 3
 
 
 class EdgeSamplingFourCycles(_EdgeSampling):
     """T_hat = (surviving four-cycles) / p^4."""
 
     name = "edge-sampling-fourcycles"
-
-    def run(self, stream: StreamSource) -> EstimateResult:
-        graph, meter = self._collect(stream)
-        surviving = four_cycle_count(graph)
-        estimate = surviving / self.p**4
-        details = {"surviving": surviving, "p": self.p}
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+    _count = staticmethod(four_cycle_count)
+    _order = 4

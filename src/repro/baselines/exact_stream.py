@@ -7,8 +7,8 @@ experiments and as the space ceiling in the frontier plots.
 
 from __future__ import annotations
 
-from .. import obs as _obs
 from ..core.result import EstimateResult
+from ..core.skeleton import finish, pass_span
 from ..graphs import four_cycle_count, triangle_count
 from ..graphs.graph import Graph
 from ..streams.meter import SpaceMeter
@@ -16,32 +16,27 @@ from ..streams.models import StreamSource
 
 
 class _ExactStream:
-    """Shared buffering logic for the two exact counters."""
+    """Shared buffering and counting for the two exact counters."""
 
-    name = "exact-stream"
+    _count = None  # graph -> exact count, set per subclass
 
-    def _collect(self, stream: StreamSource) -> tuple[Graph, SpaceMeter]:
+    def run(self, stream: StreamSource) -> EstimateResult:
         meter = SpaceMeter()
-        telemetry = _obs.current()
         graph = Graph()
-        with telemetry.tracer.span("pass1:buffer", kind="pass"):
+        with pass_span("pass1:buffer", meter):
             for u, v in stream.edges():
                 if graph.add_edge(u, v):
                     meter.add("stored_edges")
-        if telemetry.enabled:
-            telemetry.metrics.inc(f"{self.name}.stored_edges", graph.num_edges)
-        return graph, meter
+        count = float(self._count(graph))
+        details = {"stored_edges": graph.num_edges}
+        return finish(self.name, count, stream.passes_taken, meter, details)
 
 
 class ExactTriangleStream(_ExactStream):
     """One pass, m words, exact triangle count."""
 
     name = "exact-triangles"
-
-    def run(self, stream: StreamSource) -> EstimateResult:
-        graph, meter = self._collect(stream)
-        count = triangle_count(graph)
-        return EstimateResult(float(count), stream.passes_taken, meter, self.name, {})
+    _count = staticmethod(triangle_count)
 
 
 class ExactFourCycleStream(_ExactStream):
@@ -52,8 +47,4 @@ class ExactFourCycleStream(_ExactStream):
     """
 
     name = "exact-fourcycles"
-
-    def run(self, stream: StreamSource) -> EstimateResult:
-        graph, meter = self._collect(stream)
-        count = four_cycle_count(graph)
-        return EstimateResult(float(count), stream.passes_taken, meter, self.name, {})
+    _count = staticmethod(four_cycle_count)

@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Set, Tuple
 
-from .. import obs as _obs
 from ..core.result import EstimateResult
+from ..core.skeleton import check_accuracy, finish, pass_span
 from ..graphs.graph import Edge, Vertex, normalize_edge
 from ..sketches.hashing import KWiseHash
 from ..streams.meter import SpaceMeter
@@ -51,25 +51,19 @@ class TwoPassTriangles:
     def __init__(
         self, t_guess: float, epsilon: float = 0.1, c: float = 1.0, seed: int = 0
     ) -> None:
-        if t_guess < 1:
-            raise ValueError(f"t_guess must be >= 1, got {t_guess}")
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-        self.t_guess = float(t_guess)
-        self.epsilon = epsilon
+        self.t_guess, self.epsilon = check_accuracy(t_guess, epsilon)
         self.c = c
         self.seed = seed
 
     def run(self, stream: StreamSource) -> EstimateResult:
         meter = SpaceMeter()
-        telemetry = _obs.current()
         p = min(1.0, self.c / (self.epsilon * math.sqrt(self.t_guess)))
         sample_hash = KWiseHash(k=2, seed=self.seed, namespace="mvv-twopass.sample")
 
         # ---- pass 1: the edge sample, indexed by endpoint -------------
         sampled: Set[Edge] = set()
         by_endpoint: Dict[Vertex, List[Edge]] = {}
-        with telemetry.tracer.span("pass1:sample", kind="pass"):
+        with pass_span("pass1:sample", meter):
             for u, v in stream.edges():
                 edge = normalize_edge(u, v)
                 if sample_hash.bernoulli(edge, p):
@@ -81,7 +75,7 @@ class TwoPassTriangles:
         # ---- pass 2: exact per-sampled-edge triangle counts -----------
         half_wedges: Set[Tuple[Edge, Vertex]] = set()
         triangle_hits: Dict[Edge, int] = {}
-        with telemetry.tracer.span("pass2:count", kind="pass"):
+        with pass_span("pass2:count", meter):
             for a, b in stream.edges():
                 for endpoint, other in ((a, b), (b, a)):
                     for edge in by_endpoint.get(endpoint, ()):
@@ -96,9 +90,6 @@ class TwoPassTriangles:
                             meter.add("half_wedges")
 
         total_hits = sum(triangle_hits.values())
-        if telemetry.enabled:
-            telemetry.metrics.inc(f"{self.name}.sampled_edges", len(sampled))
-            telemetry.metrics.inc(f"{self.name}.triangle_hits", total_hits)
         estimate = total_hits / (3.0 * p)
         details = {
             "p": p,
@@ -106,4 +97,4 @@ class TwoPassTriangles:
             "triangle_hits": total_hits,
             "edges_in_triangles": len(triangle_hits),
         }
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+        return finish(self.name, estimate, stream.passes_taken, meter, details)

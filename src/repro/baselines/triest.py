@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from .. import obs as _obs
 from ..core.result import EstimateResult
+from ..core.skeleton import finish, pass_span
 from ..graphs.graph import Vertex
 from ..seeding import component_rng
 from ..streams.meter import SpaceMeter
@@ -87,10 +87,8 @@ class _ReservoirGraph:
         return False
 
 
-class TriestBase:
-    """TRIEST-base with reservoir capacity ``memory`` (edges)."""
-
-    name = "triest-base"
+class _Triest:
+    """Both variants' constructor: reservoir capacity ``memory`` (edges)."""
 
     def __init__(self, memory: int, seed: int = 0) -> None:
         if memory < 6:
@@ -98,14 +96,19 @@ class TriestBase:
         self.memory = memory
         self.seed = seed
 
+
+class TriestBase(_Triest):
+    """TRIEST-base with reservoir capacity ``memory`` (edges)."""
+
+    name = "triest-base"
+
     def run(self, stream: StreamSource) -> EstimateResult:
         meter = SpaceMeter()
-        telemetry = _obs.current()
         reservoir = _ReservoirGraph(self.memory, seed=self.seed, variant="base")
         tau = 0
         t = 0
 
-        with telemetry.tracer.span("pass1:reservoir", kind="pass"):
+        with pass_span("pass1:reservoir", meter):
             for u, v in stream.edges():
                 t += 1
 
@@ -117,10 +120,6 @@ class TriestBase:
                     # count triangles the new edge closes inside the reservoir
                     tau += reservoir.common_neighbors(u, v)
                 meter.set("reservoir_edges", len(reservoir.edges))
-        if telemetry.enabled:
-            telemetry.metrics.inc(
-                f"{self.name}.reservoir_evictions", reservoir.evictions
-            )
 
         m_cap = self.memory
         if t <= m_cap:
@@ -131,29 +130,27 @@ class TriestBase:
                 (t * (t - 1) * (t - 2)) / (m_cap * (m_cap - 1) * (m_cap - 2)),
             )
         estimate = max(0.0, tau * scale)
-        details = {"tau": tau, "scale": scale, "stream_length": t}
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+        details = {
+            "tau": tau,
+            "scale": scale,
+            "stream_length": t,
+            "reservoir_evictions": reservoir.evictions,
+        }
+        return finish(self.name, estimate, stream.passes_taken, meter, details)
 
 
-class TriestImpr:
+class TriestImpr(_Triest):
     """TRIEST-impr: weighted increments, no decrements."""
 
     name = "triest-impr"
 
-    def __init__(self, memory: int, seed: int = 0) -> None:
-        if memory < 6:
-            raise ValueError(f"TRIEST needs memory >= 6, got {memory}")
-        self.memory = memory
-        self.seed = seed
-
     def run(self, stream: StreamSource) -> EstimateResult:
         meter = SpaceMeter()
-        telemetry = _obs.current()
         reservoir = _ReservoirGraph(self.memory, seed=self.seed, variant="impr")
         tau = 0.0
         t = 0
         m_cap = self.memory
-        with telemetry.tracer.span("pass1:reservoir", kind="pass"):
+        with pass_span("pass1:reservoir", meter):
             for u, v in stream.edges():
                 t += 1
                 # impr: count before the sampling decision, with weight eta(t)
@@ -163,9 +160,5 @@ class TriestImpr:
                     tau += eta * closed
                 reservoir.offer(u, v, t)
                 meter.set("reservoir_edges", len(reservoir.edges))
-        if telemetry.enabled:
-            telemetry.metrics.inc(
-                f"{self.name}.reservoir_evictions", reservoir.evictions
-            )
-        details = {"stream_length": t}
-        return EstimateResult(max(0.0, tau), stream.passes_taken, meter, self.name, details)
+        details = {"stream_length": t, "reservoir_evictions": reservoir.evictions}
+        return finish(self.name, max(0.0, tau), stream.passes_taken, meter, details)

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .. import obs as _obs
 from ..core.result import EstimateResult
+from ..core.skeleton import finish, pass_span, require_adjacency
 from ..graphs.graph import Vertex, normalize_edge
 from ..sketches.hashing import KWiseHash
 from ..streams.meter import SpaceMeter
@@ -54,16 +54,14 @@ class WedgePairSamplingFourCycles:
         self.seed = seed
 
     def run(self, stream: AdjacencyListStream) -> EstimateResult:
-        if not getattr(stream, "provides_adjacency", False):
-            raise TypeError("WedgePairSamplingFourCycles needs an adjacency-list stream")
+        require_adjacency(self, stream)
         meter = SpaceMeter()
-        telemetry = _obs.current()
         wedge_hash = KWiseHash(
             k=2, seed=self.seed, namespace="wedge-pair-sampling.wedge"
         )
         buckets: Dict[Tuple[Vertex, Vertex], int] = {}
 
-        with telemetry.tracer.span("pass1:wedge-sample", kind="pass") as span:
+        with pass_span("pass1:wedge-sample", meter):
             for center, neighbors in stream.adjacency_lists():
                 ordered = sorted(neighbors, key=repr)
                 for i, u in enumerate(ordered):
@@ -74,21 +72,15 @@ class WedgePairSamplingFourCycles:
                                 buckets[pair] = 0
                                 meter.add("wedge_buckets")
                             buckets[pair] += 1
-            span.set("space_peak", meter.peak)
 
         pairs_sum = sum(k * (k - 1) // 2 for k in buckets.values())
-        if telemetry.enabled:
-            telemetry.metrics.inc(
-                f"{self.name}.sampled_wedges", sum(buckets.values())
-            )
-            telemetry.metrics.inc(f"{self.name}.wedge_buckets", len(buckets))
         estimate = pairs_sum / (2.0 * self.wedge_probability**2)
         details = {
             "sampled_wedges": sum(buckets.values()),
             "buckets": len(buckets),
             "colliding_pairs": pairs_sum,
         }
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+        return finish(self.name, estimate, stream.passes_taken, meter, details)
 
     @classmethod
     def for_space_budget(

@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, List
 
-from .. import obs as _obs
 from ..sketches.estimators import median
 from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
 from .result import EstimateResult
+from .skeleton import finish, pass_span
 
 AlgorithmFactory = Callable[[int], Any]  # copy seed -> algorithm
 
@@ -71,21 +71,19 @@ class MedianBoost:
         results: List[EstimateResult] = []
         passes_per_copy = 0
         meter = SpaceMeter()
-        telemetry = _obs.current()
         for j in range(self.copies):
             before = stream.passes_taken
             algorithm = self.algorithm_factory(self.seed * 100_003 + j)
-            with telemetry.tracer.span(f"copy[{j}]", kind="copy"):
+            # stamped with the copies' combined space so far
+            with pass_span(f"copy[{j}]", meter, kind="copy"):
                 result = algorithm.run(stream)
+                meter.merge(result.space, prefix=f"copy{j}_")
             passes_per_copy = max(passes_per_copy, stream.passes_taken - before)
             results.append(result)
-            meter.merge(result.space, prefix=f"copy{j}_")
-        if telemetry.enabled:
-            telemetry.metrics.inc(f"{self.name}.copies", self.copies)
         estimate = median([r.estimate for r in results])
         details = {
             "copies": self.copies,
             "estimates": [r.estimate for r in results],
             "inner_algorithm": results[0].algorithm,
         }
-        return EstimateResult(estimate, passes_per_copy, meter, self.name, details)
+        return finish(self.name, estimate, passes_per_copy, meter, details)

@@ -41,12 +41,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Set
 
-from .. import obs as _obs
 from ..graphs.graph import Vertex
 from ..sketches.hashing import KWiseHash
 from ..streams.meter import SpaceMeter
 from ..streams.models import AdjacencyListStream
 from .result import EstimateResult
+from .skeleton import check_accuracy, finish, pass_span, require_adjacency
 from .useful import UsefulAlgorithm
 
 
@@ -177,14 +177,9 @@ class FourCycleAdjacencyDiamond:
         log_power: float = 1.0,
         num_shifts: int = None,
     ) -> None:
-        if t_guess < 1:
-            raise ValueError(f"t_guess must be >= 1, got {t_guess}")
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        self.t_guess, self.epsilon = check_accuracy(t_guess, epsilon)
         if num_shifts is not None and num_shifts < 1:
             raise ValueError(f"num_shifts must be >= 1, got {num_shifts}")
-        self.t_guess = float(t_guess)
-        self.epsilon = epsilon
         self.c = c
         self.seed = seed
         self.log_power = log_power
@@ -227,33 +222,34 @@ class FourCycleAdjacencyDiamond:
         return shifts
 
     def run(self, stream: AdjacencyListStream) -> EstimateResult:
-        if not getattr(stream, "provides_adjacency", False):
-            raise TypeError("FourCycleAdjacencyDiamond requires an adjacency-list stream")
+        require_adjacency(self, stream)
         n = max(2, stream.num_vertices)
         meter = SpaceMeter()
-        telemetry = _obs.current()
         shifts = self._build_classes(n)
         all_classes = [inst for levels in shifts for inst in levels]
 
         # ---- pass 1: draw vertex + edge samples per class -------------
-        with telemetry.tracer.span("pass1:sample", kind="pass") as span:
+        with pass_span("pass1:sample", meter) as span:
             for vertex, neighbors in stream.adjacency_lists():
                 for inst in all_classes:
                     inst.observe_pass1(vertex, neighbors)
-            span.set(
-                "sampled_edges", sum(inst.sampled_edge_count for inst in all_classes)
-            )
+            for idx, inst in enumerate(all_classes):
+                meter.set(f"class_{idx}", inst.space_items)
+            sampled_edges = sum(inst.sampled_edge_count for inst in all_classes)
+            span.set("sampled_edges", sampled_edges)
 
         # ---- pass 2: estimate sizes, feed the Useful runs --------------
-        with telemetry.tracer.span("pass2:size-estimate", kind="pass"):
+        with pass_span("pass2:size-estimate", meter):
             for inst in all_classes:
                 inst.start_pass2()
             for vertex, neighbors in stream.adjacency_lists():
                 for inst in all_classes:
                     inst.observe_pass2(vertex, neighbors)
+            for idx, inst in enumerate(all_classes):
+                meter.set(f"class_{idx}", inst.space_items)
 
         # ---- combine: per-shift totals, keep the max, halve ------------
-        with telemetry.tracer.span("post:combine", kind="phase"):
+        with pass_span("post:combine", meter, kind="phase"):
             shift_totals: List[float] = []
             per_class: List[Dict[str, float]] = []
             for j, levels in enumerate(shifts):
@@ -272,22 +268,16 @@ class FourCycleAdjacencyDiamond:
                     )
                 shift_totals.append(total)
             best_shift = max(range(len(shift_totals)), key=lambda j: shift_totals[j])
-            estimate = shift_totals[best_shift] / 2.0
 
-        if telemetry.enabled:
-            telemetry.metrics.inc(f"{self.name}.size_classes", len(all_classes))
-            telemetry.metrics.inc(
-                f"{self.name}.sampled_edges",
-                sum(inst.sampled_edge_count for inst in all_classes),
-            )
-
-        for idx, inst in enumerate(all_classes):
-            meter.set(f"class_{idx}", inst.space_items)
-
+        usefuls = [inst.useful for inst in all_classes]
         details = {
             "shift_totals": shift_totals,
             "best_shift": best_shift,
             "num_classes": len(all_classes),
             "per_class": per_class,
+            "sampled_edges": sampled_edges,
+            "useful_heavy_vertices": sum(len(u.heavy_vertices) for u in usefuls),
+            "useful_heavy_counters": sum(u.heavy_counter_count for u in usefuls),
         }
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+        estimate = shift_totals[best_shift] / 2.0
+        return finish(self.name, estimate, stream.passes_taken, meter, details)

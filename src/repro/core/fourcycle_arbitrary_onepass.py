@@ -20,15 +20,15 @@ space bound.
 from __future__ import annotations
 
 import math
-from typing import Dict, Set
+from typing import Any, Dict, Iterable, Set, Tuple
 
-from .. import obs as _obs
 from ..graphs.graph import Vertex
 from ..sketches.hashing import KWiseHash
 from ..sketches.wedge_f2 import WedgeF2Estimator
 from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
 from .result import EstimateResult
+from .skeleton import check_accuracy, finish, pass_span
 
 
 class FourCycleArbitraryOnePass:
@@ -54,12 +54,7 @@ class FourCycleArbitraryOnePass:
         group_size: int = 6,
         seed: int = 0,
     ) -> None:
-        if t_guess < 1:
-            raise ValueError(f"t_guess must be >= 1, got {t_guess}")
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-        self.t_guess = float(t_guess)
-        self.epsilon = epsilon
+        self.t_guess, self.epsilon = check_accuracy(t_guess, epsilon)
         self.c = c
         self.groups = groups
         self.group_size = group_size
@@ -67,14 +62,35 @@ class FourCycleArbitraryOnePass:
 
     # ------------------------------------------------------------------
     def run(self, stream: StreamSource) -> EstimateResult:
-        n = max(2, stream.num_vertices)
         meter = SpaceMeter()
-        telemetry = _obs.current()
+        estimate, details = self._run_updates(
+            ((u, v, 1) for u, v in stream.edges()), max(2, stream.num_vertices), meter
+        )
+        return finish(self.name, estimate, stream.passes_taken, meter, details)
 
+    def run_dynamic(self, updates: Iterable[Tuple[Vertex, Vertex, int]], n: int) -> float:
+        """The dynamic (insert/delete) variant the paper notes.
+
+        Args:
+            updates: iterable of ``(u, v, delta)`` with ``delta`` +1 for
+                an insertion, -1 for a deletion.
+            n: number of vertices.
+
+        Returns ``(F2_hat - F1_hat) / 4`` where, since z-capping needs
+        the final graph, the F1 term comes from the tracked sets after
+        all updates (deletions remove entries).
+        """
+        return self._run_updates(updates, n, SpaceMeter())[0]
+
+    # ------------------------------------------------------------------
+    def _run_updates(
+        self, updates: Iterable[Tuple[Vertex, Vertex, int]], n: int, meter: SpaceMeter
+    ) -> Tuple[float, Dict[str, Any]]:
+        """One pass of signed edge updates, then F1(z) over sampled pairs."""
         # pv ~ n / (eps^2 T); with T = Omega(n^2) this is O(1 / (eps^2 n))
         # and the stored neighbor sets total O(eps^-2 n) words.
         vertex_prob = min(
-            1.0, self.c * math.log(n) * n / (self.epsilon**2 * self.t_guess)
+            1.0, self.c * math.log(max(2, n)) * n / (self.epsilon**2 * self.t_guess)
         )
         vertex_hash = KWiseHash(k=2, seed=self.seed, namespace="fourcycle-onepass.vertex")
         f2_estimator = WedgeF2Estimator(
@@ -83,19 +99,22 @@ class FourCycleArbitraryOnePass:
 
         tracked_neighbors: Dict[Vertex, Set[Vertex]] = {}
 
-        with telemetry.tracer.span("pass1:stream", kind="pass") as span:
-            for u, v in stream.edges():
-                f2_estimator.process_edge(u, v, delta=1)
+        with pass_span("pass1:stream", meter):
+            for u, v, delta in updates:
+                f2_estimator.process_edge(u, v, delta=delta)
                 for a, b in ((u, v), (v, u)):
                     if vertex_hash.bernoulli(a, vertex_prob):
                         bucket = tracked_neighbors.setdefault(a, set())
-                        if b not in bucket:
+                        if delta > 0 and b not in bucket:
                             bucket.add(b)
                             meter.add("tracked_neighbor_entries")
-            span.set("space_peak", meter.peak)
+                        elif delta < 0 and b in bucket:
+                            bucket.discard(b)
+                            meter.add("tracked_neighbor_entries", -1)
+            meter.set("f2_counters", f2_estimator.space_items)
 
         # F1(z) over pairs inside the sampled vertex set
-        with telemetry.tracer.span("post:f1-pairs", kind="phase"):
+        with pass_span("post:f1-pairs", meter, kind="phase"):
             cap = 1.0 / self.epsilon
             sampled = sorted(tracked_neighbors, key=repr)
             f1_sum = 0.0
@@ -108,15 +127,6 @@ class FourCycleArbitraryOnePass:
             f1_hat = f1_sum / (vertex_prob**2) if vertex_prob > 0 else 0.0
 
         f2_hat = f2_estimator.estimate()
-        meter.set("f2_counters", f2_estimator.space_items)
-        estimate = max(0.0, (f2_hat - f1_hat) / 4.0)
-
-        if telemetry.enabled:
-            telemetry.metrics.inc(f"{self.name}.sampled_vertices", len(sampled))
-            telemetry.metrics.set_gauge(
-                f"{self.name}.vertex_probability", vertex_prob
-            )
-
         details = {
             "f2_hat": f2_hat,
             "f1_hat": f1_hat,
@@ -124,46 +134,4 @@ class FourCycleArbitraryOnePass:
             "sampled_vertices": len(sampled),
             "f2_copies": f2_estimator.num_copies,
         }
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
-
-    # ------------------------------------------------------------------
-    def run_dynamic(self, updates, n: int) -> float:
-        """The dynamic (insert/delete) variant the paper notes.
-
-        Args:
-            updates: iterable of ``(u, v, delta)`` with ``delta`` +1 for
-                an insertion, -1 for a deletion.
-            n: number of vertices.
-
-        Returns the F2-only estimate ``F2_hat(x) / 4 - n``-free form:
-        since z-capping needs the final graph, the dynamic variant
-        reports ``(F2_hat - F1_exactless) / 4`` with the F1 term from
-        the tracked sets after all updates (deletions remove entries).
-        """
-        f2_estimator = WedgeF2Estimator(
-            groups=self.groups, group_size=self.group_size, seed=self.seed
-        )
-        vertex_prob = min(
-            1.0, self.c * math.log(max(2, n)) * n / (self.epsilon**2 * self.t_guess)
-        )
-        vertex_hash = KWiseHash(k=2, seed=self.seed, namespace="fourcycle-onepass.vertex")
-        tracked: Dict[Vertex, Set[Vertex]] = {}
-        for u, v, delta in updates:
-            f2_estimator.process_edge(u, v, delta=delta)
-            for a, b in ((u, v), (v, u)):
-                if vertex_hash.bernoulli(a, vertex_prob):
-                    bucket = tracked.setdefault(a, set())
-                    if delta > 0:
-                        bucket.add(b)
-                    else:
-                        bucket.discard(b)
-        cap = 1.0 / self.epsilon
-        sampled = sorted(tracked, key=repr)
-        f1_sum = 0.0
-        for i, u in enumerate(sampled):
-            for v in sampled[i + 1 :]:
-                common = len(tracked[u] & tracked[v])
-                if common:
-                    f1_sum += min(common, cap)
-        f1_hat = f1_sum / (vertex_prob**2) if vertex_prob > 0 else 0.0
-        return max(0.0, (f2_estimator.estimate() - f1_hat) / 4.0)
+        return max(0.0, (f2_hat - f1_hat) / 4.0), details

@@ -37,12 +37,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Set, Tuple
 
-from .. import obs as _obs
 from ..graphs.graph import Edge, Vertex, normalize_edge
 from ..sketches.hashing import KWiseHash
 from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
 from .result import EstimateResult
+from .skeleton import check_accuracy, finish, pass_span
 from .useful import UsefulAlgorithm
 
 Cycle = Tuple[Vertex, Vertex, Vertex, Vertex]  # (a, b, c, d) in cycle order
@@ -217,14 +217,9 @@ class FourCycleArbitraryThreePass:
         seed: int = 0,
         use_log_factor: bool = True,
     ) -> None:
-        if t_guess < 1:
-            raise ValueError(f"t_guess must be >= 1, got {t_guess}")
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        self.t_guess, self.epsilon = check_accuracy(t_guess, epsilon)
         if eta <= 0:
             raise ValueError(f"eta must be positive, got {eta}")
-        self.t_guess = float(t_guess)
-        self.epsilon = epsilon
         self.eta = eta
         self.c = c
         self.seed = seed
@@ -234,7 +229,6 @@ class FourCycleArbitraryThreePass:
     def run(self, stream: StreamSource) -> EstimateResult:
         n = max(2, stream.num_vertices)
         meter = SpaceMeter()
-        telemetry = _obs.current()
         log_factor = math.log2(n) if self.use_log_factor else 1.0
         p = min(
             1.0,
@@ -252,7 +246,7 @@ class FourCycleArbitraryThreePass:
             {},
             {},
         )
-        with telemetry.tracer.span("pass1:sample", kind="pass") as pass1_span:
+        with pass_span("pass1:sample", meter):
             for u, v in stream.edges():
                 edge = normalize_edge(u, v)
                 if edge_hash.bernoulli(edge, p):
@@ -272,11 +266,10 @@ class FourCycleArbitraryThreePass:
                         s_adj.setdefault(u, set()).add(v)
                         s_adj.setdefault(v, set()).add(u)
                         meter.add("S1_S2_edges")
-            pass1_span.set("space_peak", meter.peak)
 
         # ---- pass 2: store cycles completed by three S0 edges --------
         stored: List[Tuple[Edge, Cycle]] = []
-        with telemetry.tracer.span("pass2:store-cycles", kind="pass") as span:
+        with pass_span("pass2:store-cycles", meter) as span:
             for a, b in stream.edges():
                 for cycle in self._completions(s0_adj, a, b):
                     stored.append(((a, b), cycle))
@@ -310,31 +303,29 @@ class FourCycleArbitraryThreePass:
                 for w in e:
                     edge_index.setdefault(w, []).append(oracle)
 
-        if oracles:
-            with telemetry.tracer.span("pass3:classify", kind="pass") as span:
-                for u, v in stream.edges():
-                    f = normalize_edge(u, v)
-                    seen: Set[Edge] = set()
-                    for w in (u, v):
-                        for oracle in edge_index.get(w, ()):
-                            if oracle.edge == f or oracle.edge in seen:
-                                continue
-                            seen.add(oracle.edge)
-                            # f must share exactly one endpoint with e
-                            a, b = oracle.edge
-                            shared = (u in (a, b)) + (v in (a, b))
-                            if shared == 1:
-                                oracle.process_stream_edge(f)
-                span.set("num_oracles", len(oracles))
-            passes = stream.passes_taken
-        else:
-            passes = stream.passes_taken  # oracle pass not needed
+        # always taken, even with no stored cycle: Theorem 5.3 spends
+        # three passes whatever the sample holds
+        with pass_span("pass3:classify", meter) as span:
+            for u, v in stream.edges():
+                f = normalize_edge(u, v)
+                seen: Set[Edge] = set()
+                for w in (u, v):
+                    for oracle in edge_index.get(w, ()):
+                        if oracle.edge == f or oracle.edge in seen:
+                            continue
+                        seen.add(oracle.edge)
+                        # f must share exactly one endpoint with e
+                        a, b = oracle.edge
+                        shared = (u in (a, b)) + (v in (a, b))
+                        if shared == 1:
+                            oracle.process_stream_edge(f)
+            for oracle in oracles.values():
+                meter.add("oracle_counters", oracle.space_items)
+            span.set("num_oracles", len(oracles))
 
         heavy: Dict[Edge, bool] = {
             e: oracle.classify(eta_sqrt_t) for e, oracle in oracles.items()
         }
-        for idx, oracle in enumerate(oracles.values()):
-            meter.add("oracle_counters", oracle.space_items)
 
         # ---- combine --------------------------------------------------
         a0 = 0
@@ -356,12 +347,7 @@ class FourCycleArbitraryThreePass:
                 a1 += 1
         estimate = a0 / (4.0 * p**3) + a1 / (p**3)
 
-        if telemetry.enabled:
-            metrics = telemetry.metrics
-            metrics.inc(f"{self.name}.stored_cycles", len(stored))
-            metrics.inc(f"{self.name}.oracle_calls", len(oracles))
-            metrics.inc(f"{self.name}.heavy_edges", sum(heavy.values()))
-
+        usefuls = [oracle.useful for oracle in oracles.values()]
         details = {
             "p": p,
             "eta_sqrt_t": eta_sqrt_t,
@@ -370,8 +356,10 @@ class FourCycleArbitraryThreePass:
             "a1": a1,
             "num_oracles": len(oracles),
             "num_heavy_edges": sum(heavy.values()),
+            "useful_heavy_vertices": sum(len(u.heavy_vertices) for u in usefuls),
+            "useful_heavy_counters": sum(u.heavy_counter_count for u in usefuls),
         }
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+        return finish(self.name, estimate, stream.passes_taken, meter, details)
 
     # ------------------------------------------------------------------
     @staticmethod

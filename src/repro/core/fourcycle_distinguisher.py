@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Set, Tuple
 
-from .. import obs as _obs
 from ..graphs.graph import Vertex, normalize_edge
 from ..sketches.hashing import KWiseHash
 from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
 from .result import EstimateResult
+from .skeleton import check_accuracy, finish, pass_span
 
 
 class FourCycleDistinguisher:
@@ -53,11 +53,9 @@ class FourCycleDistinguisher:
         seed: int = 0,
         hard_cap_factor: float = 1.0,
     ) -> None:
-        if t_guess < 1:
-            raise ValueError(f"t_guess must be >= 1, got {t_guess}")
+        self.t_guess, _ = check_accuracy(t_guess)
         if c <= 0:
             raise ValueError(f"scale c must be positive, got {c}")
-        self.t_guess = float(t_guess)
         self.c = c
         self.seed = seed
         self.hard_cap_factor = hard_cap_factor
@@ -69,7 +67,6 @@ class FourCycleDistinguisher:
 
     def run(self, stream: StreamSource) -> EstimateResult:
         meter = SpaceMeter()
-        telemetry = _obs.current()
         p = min(1.0, self.c / math.sqrt(self.t_guess))
         sample_hash = KWiseHash(
             k=2, seed=self.seed, namespace="fourcycle-distinguisher.sample"
@@ -78,7 +75,7 @@ class FourCycleDistinguisher:
         # ---- pass 1: sample edges, collect endpoint set V_S ----------
         sampled_vertices: Set[Vertex] = set()
         sampled_edges = 0
-        with telemetry.tracer.span("pass1:sample", kind="pass") as span:
+        with pass_span("pass1:sample", meter) as span:
             for u, v in stream.edges():
                 if sample_hash.bernoulli(normalize_edge(u, v), p):
                     sampled_edges += 1
@@ -95,7 +92,7 @@ class FourCycleDistinguisher:
         adjacency: Dict[Vertex, Set[Vertex]] = {}
         collected = 0
         witness: Tuple[Vertex, ...] = ()
-        with telemetry.tracer.span("pass2:induced-search", kind="pass") as span:
+        with pass_span("pass2:induced-search", meter) as span:
             for u, v in stream.edges():
                 if u not in sampled_vertices or v not in sampled_vertices:
                     continue
@@ -115,11 +112,6 @@ class FourCycleDistinguisher:
             span.set("induced_edges", collected)
 
         found = bool(witness)
-        if telemetry.enabled:
-            metrics = telemetry.metrics
-            metrics.inc(f"{self.name}.sampled_edges", sampled_edges)
-            metrics.inc(f"{self.name}.induced_edges", collected)
-            metrics.inc(f"{self.name}.witness_found", int(found))
         details = {
             "found": found,
             "witness": witness,
@@ -130,7 +122,7 @@ class FourCycleDistinguisher:
             "kst_cap": cap,
         }
         estimate = self.t_guess if found else 0.0
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+        return finish(self.name, estimate, stream.passes_taken, meter, details)
 
     @staticmethod
     def _closes_four_cycle(

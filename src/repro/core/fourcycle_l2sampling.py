@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from .. import obs as _obs
 from ..graphs.graph import Vertex, normalize_edge
 from ..seeding import component_rng
 from ..sketches.l2_sampler import L2SamplerBank
@@ -36,6 +35,7 @@ from ..sketches.wedge_f2 import WedgeF2Estimator
 from ..streams.meter import SpaceMeter
 from ..streams.models import AdjacencyListStream
 from .result import EstimateResult
+from .skeleton import check_accuracy, finish, pass_span, require_adjacency
 
 
 class FourCycleL2Sampling:
@@ -67,14 +67,9 @@ class FourCycleL2Sampling:
         group_size: int = 8,
         seed: int = 0,
     ) -> None:
-        if t_guess < 1:
-            raise ValueError(f"t_guess must be >= 1, got {t_guess}")
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        self.t_guess, self.epsilon = check_accuracy(t_guess, epsilon)
         if num_samplers < 1:
             raise ValueError("need at least one l2 sampler")
-        self.t_guess = float(t_guess)
-        self.epsilon = epsilon
         self.num_samplers = num_samplers
         self.sampler_width = sampler_width
         self.sampler_rows = sampler_rows
@@ -85,10 +80,8 @@ class FourCycleL2Sampling:
 
     # ------------------------------------------------------------------
     def run(self, stream: AdjacencyListStream) -> EstimateResult:
-        if not getattr(stream, "provides_adjacency", False):
-            raise TypeError("FourCycleL2Sampling requires an adjacency-list stream")
+        require_adjacency(self, stream)
         meter = SpaceMeter()
-        telemetry = _obs.current()
         f2_estimator = WedgeF2Estimator(
             groups=self.groups, group_size=self.group_size, seed=self.seed
         )
@@ -104,7 +97,7 @@ class FourCycleL2Sampling:
 
         vertices: Set[Vertex] = set()
         max_degree = 0
-        with telemetry.tracer.span("pass1:sketch", kind="pass") as span:
+        with pass_span("pass1:sketch", meter):
             for vertex, neighbors in stream.adjacency_lists():
                 vertices.add(vertex)
                 vertices.update(neighbors)
@@ -115,9 +108,8 @@ class FourCycleL2Sampling:
                 for i, u in enumerate(ordered):
                     for v in ordered[i + 1 :]:
                         bank.update(normalize_edge(u, v))
-            span.set("space_peak", meter.peak)
 
-        with telemetry.tracer.span("post:extract", kind="phase") as span:
+        with pass_span("post:extract", meter, kind="phase") as span:
             f2_hat = f2_estimator.estimate()
             ordered_vertices = sorted(vertices, key=repr)
             candidates = [
@@ -139,12 +131,6 @@ class FourCycleL2Sampling:
             estimate = ratio * f2_hat
             span.set("num_samples", len(samples))
 
-        if telemetry.enabled:
-            metrics = telemetry.metrics
-            metrics.inc(f"{self.name}.l2_samples", len(samples))
-            metrics.inc(f"{self.name}.bernoulli_successes", successes)
-            metrics.set_gauge(f"{self.name}.sketch_saturation", bank.saturation)
-
         details = {
             "f2_hat": f2_hat,
             "num_samples": len(samples),
@@ -152,5 +138,6 @@ class FourCycleL2Sampling:
             "sampled_values": values,
             "max_degree": max_degree,
             "num_candidate_pairs": len(candidates),
+            "sketch_saturation": bank.saturation,
         }
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+        return finish(self.name, estimate, stream.passes_taken, meter, details)

@@ -26,13 +26,13 @@ from __future__ import annotations
 import math
 from typing import Dict, Tuple
 
-from .. import obs as _obs
 from ..graphs.graph import Vertex, normalize_edge
 from ..sketches.hashing import KWiseHash
 from ..sketches.wedge_f2 import WedgeF2Estimator
 from ..streams.meter import SpaceMeter
 from ..streams.models import AdjacencyListStream
 from .result import EstimateResult
+from .skeleton import check_accuracy, finish, pass_span, require_adjacency
 
 
 class FourCycleMoment:
@@ -63,12 +63,7 @@ class FourCycleMoment:
         seed: int = 0,
         use_log_factor: bool = True,
     ) -> None:
-        if t_guess < 1:
-            raise ValueError(f"t_guess must be >= 1, got {t_guess}")
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-        self.t_guess = float(t_guess)
-        self.epsilon = epsilon
+        self.t_guess, self.epsilon = check_accuracy(t_guess, epsilon)
         self.c = c
         self.groups = groups
         self.group_size = group_size
@@ -77,11 +72,9 @@ class FourCycleMoment:
 
     # ------------------------------------------------------------------
     def run(self, stream: AdjacencyListStream) -> EstimateResult:
-        if not getattr(stream, "provides_adjacency", False):
-            raise TypeError("FourCycleMoment requires an adjacency-list stream")
+        require_adjacency(self, stream)
         n = max(2, stream.num_vertices)
         meter = SpaceMeter()
-        telemetry = _obs.current()
 
         log_factor = math.log(n) if self.use_log_factor else 1.0
         pair_prob = min(
@@ -96,7 +89,7 @@ class FourCycleMoment:
 
         wedge_counters: Dict[Tuple[Vertex, Vertex], int] = {}
 
-        with telemetry.tracer.span("pass1:moments", kind="pass") as span:
+        with pass_span("pass1:moments", meter):
             for vertex, neighbors in stream.adjacency_lists():
                 f2_estimator.process_adjacency_list(vertex, neighbors)
                 if pair_prob > 0:
@@ -109,7 +102,6 @@ class FourCycleMoment:
                                     wedge_counters[pair] = 0
                                     meter.add("pair_counters")
                                 wedge_counters[pair] += 1
-            span.set("space_peak", meter.peak)
 
         f2_hat = f2_estimator.estimate()
         cap = 1.0 / self.epsilon
@@ -119,11 +111,6 @@ class FourCycleMoment:
             else 0.0
         )
         estimate = max(0.0, (f2_hat - f1_hat) / 4.0)
-
-        if telemetry.enabled:
-            telemetry.metrics.inc(f"{self.name}.sampled_pairs", len(wedge_counters))
-            telemetry.metrics.set_gauge(f"{self.name}.pair_probability", pair_prob)
-
         details = {
             "f2_hat": f2_hat,
             "f1_hat": f1_hat,
@@ -131,4 +118,4 @@ class FourCycleMoment:
             "sampled_pairs_with_wedges": len(wedge_counters),
             "f2_copies": f2_estimator.num_copies,
         }
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+        return finish(self.name, estimate, stream.passes_taken, meter, details)

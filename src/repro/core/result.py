@@ -20,8 +20,8 @@ class EstimateResult:
             ``space.peak`` is the word-count the experiments report.
         algorithm: a short stable identifier (e.g. ``"mv-triangle-ro"``).
         details: algorithm-specific diagnostics (heavy edge sets,
-            per-level contributions, sample sizes, ...).  Purely
-            informational — tests assert on a few stable keys.
+            per-level contributions, sample sizes, ...); its scalar
+            entries are the algorithm's metrics (``skeleton.finish``).
         wall_seconds: wall-clock duration of the producing ``run()``
             (filled in by the trial engine; excluded from equality).
         telemetry: the per-trial :class:`~repro.obs.session.TrialTelemetry`

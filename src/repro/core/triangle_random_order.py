@@ -36,12 +36,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Set, Tuple
 
-from .. import obs as _obs
 from ..graphs.graph import Edge, Vertex, normalize_edge
 from ..sketches.hashing import KWiseHash
 from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
 from .result import EstimateResult
+from .skeleton import check_accuracy, finish, pass_span
 
 _Adjacency = Dict[Vertex, Set[Vertex]]
 
@@ -97,14 +97,9 @@ class TriangleRandomOrder:
         use_log_factor: bool = True,
         disable_heavy_path: bool = False,
     ) -> None:
-        if t_guess < 1:
-            raise ValueError(f"t_guess must be >= 1, got {t_guess}")
-        if not 0 < epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        self.t_guess, self.epsilon = check_accuracy(t_guess, epsilon)
         if c <= 0:
             raise ValueError(f"scale c must be positive, got {c}")
-        self.t_guess = float(t_guess)
-        self.epsilon = epsilon
         self.c = c
         self.seed = seed
         self.use_log_factor = use_log_factor
@@ -116,9 +111,8 @@ class TriangleRandomOrder:
         n = max(2, stream.num_vertices)
         m = stream.num_edges
         meter = SpaceMeter()
-        telemetry = _obs.current()
         if m == 0:
-            return EstimateResult(0.0, 1, meter, self.name, {"empty": True})
+            return finish(self.name, 0.0, 1, meter, {"empty": True})
 
         sqrt_t = math.sqrt(self.t_guess)
         num_levels = max(0, math.ceil(math.log2(sqrt_t))) if sqrt_t > 1 else 0
@@ -153,7 +147,7 @@ class TriangleRandomOrder:
         potential_p: Set[Edge] = set()
 
         # ---------------- the single pass ------------------------------
-        with telemetry.tracer.span("pass1:stream", kind="pass") as pass_span:
+        with pass_span("pass1:stream", meter):
             for pos, (u, v) in enumerate(stream.edges(), start=1):
                 edge = normalize_edge(u, v)
                 for i in levels:
@@ -182,10 +176,9 @@ class TriangleRandomOrder:
                 if edge not in candidates_c and _common_neighbors(s_adj, u, v):
                     candidates_c.add(edge)
                     meter.add("candidates_C")
-            pass_span.set("space_peak", meter.peak)
 
         # ---------------- post-processing ------------------------------
-        with telemetry.tracer.span("post:estimate", kind="phase"):
+        with pass_span("post:estimate", meter, kind="phase"):
             oracle_adj = level_adj[-1] if level_adj else {}
             heavy_threshold = oracle_prob * sqrt_t
             heavy_cache: Dict[Edge, bool] = {}
@@ -228,14 +221,6 @@ class TriangleRandomOrder:
                     heavy_sum += 1.0 / (1 + other_heavy)
             heavy_hat = heavy_sum / oracle_prob
 
-        estimate = t0_hat + heavy_hat
-        if telemetry.enabled:
-            metrics = telemetry.metrics
-            metrics.inc(f"{self.name}.candidates_C", len(candidates_c))
-            metrics.inc(f"{self.name}.potential_heavy_P", len(potential_p))
-            metrics.inc(f"{self.name}.heavy_promotions", heavy_caught)
-            metrics.inc(f"{self.name}.oracle_calls", oracle_calls)
-            metrics.observe(f"{self.name}.prefix_S_edges", len(s_edges))
         details = {
             "t0_hat": t0_hat,
             "heavy_hat": heavy_hat,
@@ -247,8 +232,11 @@ class TriangleRandomOrder:
             "size_C": len(candidates_c),
             "size_P": len(potential_p),
             "heavy_edges_caught": heavy_caught,
+            "oracle_calls": oracle_calls,
             "level_edge_counts": [
                 sum(len(neigh) for neigh in adj.values()) // 2 for adj in level_adj
             ],
         }
-        return EstimateResult(estimate, stream.passes_taken, meter, self.name, details)
+        return finish(
+            self.name, t0_hat + heavy_hat, stream.passes_taken, meter, details
+        )

@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, Iterable, Mapping, Set, Tuple
 
-from .. import obs as _obs
-
 HVertex = Hashable
 
 
@@ -127,17 +125,6 @@ class UsefulAlgorithm:
     # ------------------------------------------------------------------
     def estimate(self) -> float:
         """The estimate ``W_hat = (AL + AH) / p`` (Lemma 3.1)."""
-        if not self._finished:
-            # Emit once, when the stream closes — a Useful run can be
-            # queried repeatedly but its promotions happened exactly once.
-            telemetry = _obs.current()
-            if telemetry.enabled:
-                telemetry.metrics.inc(
-                    "useful.heavy_promotions", len(self._heavy_vertices)
-                )
-                telemetry.metrics.inc(
-                    "useful.heavy_counters", len(self._heavy_counters)
-                )
         self._finished = True
         a_light = self._a - sum(self._heavy_counters.values())
         return (a_light + self._a_heavy) / self.p

@@ -4,8 +4,8 @@ Three pieces:
 
 * :mod:`repro.obs.trace` — hierarchical spans (experiment → sweep point
   → trial → pass → phase) with wall/CPU timings, emitted as JSON lines;
-* :mod:`repro.obs.metrics` — a registry of counters / gauges /
-  histograms that algorithms update through lightweight handles;
+* :mod:`repro.obs.metrics` — counters / gauges / histograms; algorithm
+  metrics are their results' ``details`` (``repro.core.skeleton``);
 * :mod:`repro.obs.manifest` — run manifests (seeds, git SHA, config,
   environment, bench baselines) so every trace is self-describing.
 

@@ -3,20 +3,20 @@
 A :class:`MetricsRegistry` is a flat, name-keyed collection of three
 instrument kinds:
 
-* **counter** — a monotonically increasing integer (edges consumed,
-  reservoir evictions, heavy-hitter promotions, oracle calls, ...);
-* **gauge** — a last-write-wins scalar (sketch bucket saturation,
-  sampling probabilities, ...);
+* **counter** — a monotonically increasing integer (passes, edges
+  consumed, retries, ...);
+* **gauge** — a last-write-wins scalar (variance ratios, ...);
 * **histogram** — a mergeable summary (count / sum / min / max) of a
-  sequence of observations (per-trial space, bucket sizes, ...).
+  sequence of observations (per-trial space, and every scalar
+  ``details`` entry of every algorithm run, ...).
 
 Design constraints, in order:
 
-1. **Telemetry off must be free.**  Algorithms obtain instruments
+1. **Telemetry off must be free.**  Instrumented code gets instruments
    through the active :mod:`repro.obs.session`; when no session is
    active they receive the no-op singletons below, and every batch
-   emission site is additionally guarded by ``tel.enabled`` so the hot
-   path pays at most a handful of attribute reads per ``run()``.
+   emission site (for algorithms, :func:`repro.core.skeleton.finish`)
+   is guarded by ``tel.enabled``: a ``run()`` pays a few attribute reads.
 2. **Deterministic aggregation.**  A registry never stores wall-clock
    or other nondeterministic values (those belong to spans), and
    :meth:`MetricsRegistry.merge` folds per-trial snapshots in the
@@ -98,9 +98,9 @@ class MetricsRegistry:
 
     Instruments are created on first access; names are free-form but
     the convention is dotted lowercase with the owning subsystem as the
-    prefix (``stream.passes``, ``mv-triangle-random-order.size_S``,
-    ``sketch.reservoir.evictions``).  See docs/observability.md for the
-    registry of names the built-in instrumentation emits.
+    prefix (``stream.passes``); an algorithm's are ``{name}.{details
+    key}`` (``mv-triangle-random-order.size_S``).  See
+    docs/observability.md for the names the instrumentation emits.
     """
 
     def __init__(self) -> None:

@@ -5,6 +5,7 @@ import statistics
 import pytest
 
 from repro.core import FourCycleArbitraryThreePass, subsample_q
+from repro.experiments import run_trials
 from repro.graphs import (
     complete_bipartite,
     disjoint_union,
@@ -100,6 +101,24 @@ class TestSampledMode:
         stream = RandomOrderStream(graph, seed=3)
         result = FourCycleArbitraryThreePass(t_guess=160, seed=1).run(stream)
         assert result.passes == 3
+
+    def test_pass_count_independent_of_seed(self):
+        """Pass 3 runs even when pass 2 stored no cycle: at p ~ 0.18,
+        four of these ten trials store none, and all take 3 passes."""
+        graph = planted_four_cycles(400, 100, seed=0)
+        stats = run_trials(
+            lambda seed: FourCycleArbitraryThreePass(
+                t_guess=100, epsilon=0.3, c=0.05, seed=seed, use_log_factor=False
+            ),
+            lambda seed: RandomOrderStream(graph, seed=seed),
+            truth=four_cycle_count(graph),
+            trials=10,
+            base_seed=0,
+        )
+        assert stats.passes == 3
+        stored = [result.details["stored_pairs"] for result in stats.results]
+        assert stored.count(0) == 4
+        assert {result.passes for result in stats.results} == {3}
 
     def test_details(self):
         graph = planted_four_cycles(400, 40, seed=2)
