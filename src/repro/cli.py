@@ -195,10 +195,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             "median_space": statistics.median(spaces),
         }
     ]
-    if args.compare_exact:
-        truth = (
-            triangle_count(graph) if args.problem == "triangles" else four_cycle_count(graph)
-        )
+    if truth is not None:
         rows[0]["exact"] = truth
         if truth:
             rows[0]["median_rel_err"] = round(

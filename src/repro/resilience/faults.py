@@ -20,10 +20,12 @@ serial==parallel guarantee rests on.  Injected counts are available as
 :attr:`FaultyStream.injected` and are emitted to the active telemetry
 under ``faults.injected.<kind>``.
 
-``num_vertices`` / ``num_edges`` report the *declared* (clean) values
-of the wrapped source: algorithms are told the ``m`` the pipeline
-believes, while the tokens they actually receive disagree — exactly the
-failure mode under study.  Pair with
+As a :class:`~repro.streams.models.StreamDecorator` it only transforms
+the wrapped source's raw tokens (or blocks, for an adjacency source),
+so it stacks over any source.  ``num_vertices`` / ``num_edges`` report
+the *declared* (clean) values of the wrapped source: algorithms are
+told the ``m`` the pipeline believes, while the tokens they actually
+receive disagree — exactly the failure mode under study.  Pair with
 :class:`~repro.streams.validation.ValidatedStream` to study the
 repair / skip / strict policies.
 """
@@ -35,7 +37,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..graphs.graph import Vertex
-from ..streams.models import StreamSource
+from ..streams.models import StreamDecorator, StreamSource
 from .. import obs as _obs
 
 INJECTED_METRIC_PREFIX = "faults.injected."
@@ -97,18 +99,17 @@ class FaultPlan:
         )
 
 
-class FaultyStream(StreamSource):
+class FaultyStream(StreamDecorator):
     """A stream source that replays a seeded corruption of its base."""
 
     def __init__(self, source: StreamSource, plan: FaultPlan, seed: int = 0) -> None:
-        super().__init__()
-        self._source = source
+        super().__init__(source)
         self._plan = plan
         self._seed = seed
         self.injected: Dict[str, int] = {}
         rng = random.Random(seed)
         self._block_list: Optional[List[Tuple[Vertex, List[Vertex]]]] = None
-        if hasattr(source, "_blocks"):
+        if source.provides_adjacency:
             self._block_list = self._corrupt_blocks(rng)
             self._token_list = [
                 (v, u) for v, neighbors in self._block_list for u in neighbors
@@ -213,15 +214,6 @@ class FaultyStream(StreamSource):
         for kind, count in self.injected.items():
             telemetry.metrics.inc(INJECTED_METRIC_PREFIX + kind, count)
 
-    # -- declared shape (the clean values the pipeline believes) --------
-    @property
-    def num_vertices(self) -> int:
-        return self._source.num_vertices
-
-    @property
-    def num_edges(self) -> int:
-        return self._source.num_edges
-
     @property
     def stream_length(self) -> int:
         """The *actual* token count of one corrupted pass."""
@@ -235,41 +227,10 @@ class FaultyStream(StreamSource):
     def seed(self) -> int:
         return self._seed
 
-    @property
-    def source(self) -> StreamSource:
-        return self._source
-
-    @property
-    def provides_adjacency(self) -> bool:
-        return self._block_list is not None
-
     # -- passes ----------------------------------------------------------
     def _tokens(self) -> Iterator[Tuple[Vertex, Vertex]]:
         return iter(self._token_list)
 
     def _blocks(self) -> Iterator[Tuple[Vertex, List[Vertex]]]:
-        if self._block_list is None:
-            raise TypeError(
-                f"{type(self._source).__name__} is not an adjacency-list source"
-            )
         for vertex, neighbors in self._block_list:
             yield vertex, list(neighbors)
-
-    def adjacency_lists(self) -> Iterator[Tuple[Vertex, List[Vertex]]]:
-        """Begin a new pass over the corrupted adjacency blocks."""
-        if self._block_list is None:
-            raise TypeError(
-                f"{type(self._source).__name__} is not an adjacency-list source"
-            )
-        self._passes += 1
-        telemetry = _obs.current()
-        if telemetry.enabled:
-            telemetry.metrics.inc("stream.passes")
-        tokens = 0
-        try:
-            for vertex, neighbors in self._blocks():
-                tokens += len(neighbors)
-                yield vertex, neighbors
-        finally:
-            if telemetry.enabled:
-                telemetry.metrics.inc("stream.edges_consumed", tokens)

@@ -10,9 +10,14 @@
   endpoint (Section 4): first inside the adjacency list of the endpoint
   whose list comes earlier, then again in the other endpoint's list.
 
-All sources are re-iterable; each call to :meth:`StreamSource.edges`
-(or :meth:`AdjacencyListStream.adjacency_lists`) is one pass, and the
-source counts passes so experiments can assert the pass budget.
+All sources are re-iterable.  :meth:`StreamSource.edges` and
+:meth:`StreamSource.adjacency_lists` are the only way a pass starts:
+they count it (``passes_taken``, ``stream.passes``,
+``stream.edges_consumed``) and test :attr:`~StreamSource.provides_adjacency`.
+A source only supplies the raw items of one pass (``_tokens``, and
+``_blocks`` for adjacency sources); a :class:`StreamDecorator`
+(validation, fault injection) only transforms its wrapped source's raw
+items, so decorators stack in any order.
 
 The models are strict: the paper's streams carry a simple graph, so a
 self loop or duplicate edge in the input raises
@@ -24,7 +29,7 @@ Dirty input is repaired or skipped by wrapping a source in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Edge, Graph, Vertex, normalize_edge
 from ..seeding import component_rng
@@ -32,20 +37,26 @@ from .. import obs as _obs
 from .policies import StreamFaultError, reject_self_loops
 
 
-def _counting_tokens(tokens: Iterator[Edge], metric: str) -> Iterator[Edge]:
-    """Yield ``tokens`` while counting them into the active telemetry.
+def _counted(items: Iterator, metrics: Any, blocks: bool) -> Iterator:
+    """Yield ``items`` while counting the tokens they carry.
 
-    The count is emitted once, in a ``finally`` block, so the per-token
+    A block ``(vertex, neighbors)`` carries ``len(neighbors)`` tokens.
+    The count is emitted once, in a ``finally`` block, so the per-item
     cost is a bare integer increment and early-terminated passes (an
     algorithm breaking out of the stream) still report what they read.
     """
     consumed = 0
     try:
-        for token in tokens:
-            consumed += 1
-            yield token
+        if blocks:
+            for item in items:
+                consumed += len(item[1])
+                yield item
+        else:
+            for item in items:
+                consumed += 1
+                yield item
     finally:
-        _obs.current().metrics.inc(metric, consumed)
+        metrics.inc("stream.edges_consumed", consumed)
 
 
 class StreamSource(ABC):
@@ -84,7 +95,7 @@ class StreamSource(ABC):
 
         Section 4 algorithms require adjacency semantics; decorators
         (fault injection, validation) forward their base's answer, so
-        this — not an ``isinstance`` check — is the model test.
+        this — not an ``isinstance`` check — is the one model test.
         """
         return False
 
@@ -92,14 +103,34 @@ class StreamSource(ABC):
     def _tokens(self) -> Iterator[Edge]:
         """Yield the edge tokens of a single pass, in stream order."""
 
-    def edges(self) -> Iterator[Edge]:
-        """Begin a new pass and iterate its edge tokens."""
+    def _blocks(self) -> Iterator[Tuple[Vertex, List[Vertex]]]:
+        """Yield the ``(vertex, neighbor_list)`` blocks of a single pass."""
+        raise TypeError(f"{type(self).__name__} is not an adjacency-list source")
+
+    def _pass(self, items: Iterator, blocks: bool = False) -> Iterator:
+        """Count one pass over ``items``; with telemetry on, also count
+        its tokens (``len(neighbors)`` per block when ``blocks``)."""
         self._passes += 1
         telemetry = _obs.current()
         if not telemetry.enabled:
-            return self._tokens()
+            return items
         telemetry.metrics.inc("stream.passes")
-        return _counting_tokens(self._tokens(), "stream.edges_consumed")
+        return _counted(items, telemetry.metrics, blocks)
+
+    def edges(self) -> Iterator[Edge]:
+        """Begin a new pass and iterate its edge tokens."""
+        return self._pass(self._tokens())
+
+    def adjacency_lists(self) -> Iterator[Tuple[Vertex, List[Vertex]]]:
+        """Begin a new pass and yield ``(vertex, neighbor_list)`` blocks.
+
+        This is the natural access pattern for Section 4 algorithms; the
+        neighbor list of each block is complete (degree-many entries).
+        Raises :class:`TypeError` unless :attr:`provides_adjacency`.
+        """
+        if not self.provides_adjacency:
+            raise TypeError(f"{type(self).__name__} is not an adjacency-list source")
+        return self._pass(self._blocks(), blocks=True)
 
     def materialize(self) -> List[Edge]:
         """The token sequence of one pass, as a list (counts as a pass)."""
@@ -254,36 +285,46 @@ class AdjacencyListStream(StreamSource):
                 yield normalize_edge(v, u)
 
     def _blocks(self) -> Iterator[Tuple[Vertex, List[Vertex]]]:
-        """The raw ``(vertex, neighbors)`` blocks of one pass.
-
-        The protected counterpart of :meth:`adjacency_lists` — no pass
-        accounting, no telemetry — used by stream decorators
-        (:class:`~repro.streams.validation.ValidatedStream`,
-        :class:`~repro.resilience.faults.FaultyStream`) the same way
-        :meth:`StreamSource._tokens` backs :meth:`StreamSource.edges`.
-        """
         for v, neighbors in self._lists:
             yield v, list(neighbors)
 
-    def adjacency_lists(self) -> Iterator[Tuple[Vertex, List[Vertex]]]:
-        """Begin a new pass and yield ``(vertex, neighbor_list)`` blocks.
-
-        This is the natural access pattern for Section 4 algorithms; the
-        neighbor list of each block is complete (degree-many entries).
-        """
-        self._passes += 1
-        telemetry = _obs.current()
-        if telemetry.enabled:
-            telemetry.metrics.inc("stream.passes")
-        tokens = 0
-        try:
-            for v, neighbors in self._blocks():
-                tokens += len(neighbors)
-                yield v, neighbors
-        finally:
-            if telemetry.enabled:
-                telemetry.metrics.inc("stream.edges_consumed", tokens)
+    # perfbench/tracing.py patches this class's own ``adjacency_lists``
+    # entry, so the inherited method is also bound in this class body.
+    adjacency_lists = StreamSource.adjacency_lists
 
     def reshuffled(self, seed: int) -> "AdjacencyListStream":
         """An independent adjacency-order instance of the same graph."""
         return AdjacencyListStream(self._graph, seed=seed)
+
+
+class StreamDecorator(StreamSource):
+    """A source that transforms another source's raw tokens and blocks.
+
+    It forwards the wrapped source's declared shape; a subclass defines
+    only :meth:`_tokens` and :meth:`_blocks` over ``self._source``.
+    Passes are counted on the decorator, never on the wrapped source.
+    """
+
+    def __init__(self, source: StreamSource) -> None:
+        super().__init__()
+        self._source = source
+
+    @property
+    def source(self) -> StreamSource:
+        return self._source
+
+    @property
+    def num_vertices(self) -> int:
+        return self._source.num_vertices
+
+    @property
+    def num_edges(self) -> int:
+        return self._source.num_edges
+
+    @property
+    def stream_length(self) -> int:
+        return self._source.stream_length
+
+    @property
+    def provides_adjacency(self) -> bool:
+        return self._source.provides_adjacency

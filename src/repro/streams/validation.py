@@ -14,8 +14,11 @@ of the three policies from :mod:`repro.streams.policies`:
 * ``skip``    — drop faulty tokens but leave valid ones untouched
   (arrival orientation preserved).
 
-Fault counts land in the active :mod:`repro.obs` MetricsRegistry under
-``stream.faults.<kind>`` (see docs/robustness.md for the registry).
+As a :class:`~repro.streams.models.StreamDecorator` it only validates
+the wrapped source's raw tokens (or blocks, for an adjacency source),
+so it stacks over any source.  Fault counts land in the active
+:mod:`repro.obs` MetricsRegistry under ``stream.faults.<kind>`` (see
+docs/robustness.md for the registry).
 
 The dedupe filter needs O(m) memory per pass; that is the price of
 validation, charged to the harness rather than the algorithm under
@@ -28,8 +31,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..graphs.graph import Edge, Vertex, normalize_edge
-from .. import obs as _obs
-from .models import StreamSource
+from .models import StreamDecorator, StreamSource
 from .policies import (
     POLICY_REPAIR,
     POLICY_SKIP,
@@ -40,7 +42,7 @@ from .policies import (
 )
 
 
-class ValidatedStream(StreamSource):
+class ValidatedStream(StreamDecorator):
     """Apply a validation policy to any stream source, per pass.
 
     Token faults handled: self-loop tokens ``(u, u)``; duplicate edges
@@ -58,39 +60,16 @@ class ValidatedStream(StreamSource):
     """
 
     def __init__(self, source: StreamSource, policy: str = POLICY_REPAIR) -> None:
-        super().__init__()
-        self._source = source
+        super().__init__(source)
         self._policy = check_policy(policy)
         # Adjacency sources present each edge twice (once per endpoint);
         # only a third sighting is a duplicate there.
-        adjacency = getattr(source, "provides_adjacency", False)
-        self._max_occurrences = 2 if adjacency else 1
+        self._max_occurrences = 2 if source.provides_adjacency else 1
         self.fault_counts: Dict[str, int] = {}
-
-    # -- delegated shape ------------------------------------------------
-    @property
-    def num_vertices(self) -> int:
-        return self._source.num_vertices
-
-    @property
-    def num_edges(self) -> int:
-        return self._source.num_edges
-
-    @property
-    def stream_length(self) -> int:
-        return self._source.stream_length
-
-    @property
-    def source(self) -> StreamSource:
-        return self._source
 
     @property
     def policy(self) -> str:
         return self._policy
-
-    @property
-    def provides_adjacency(self) -> bool:
-        return getattr(self._source, "provides_adjacency", False)
 
     # -- internals ------------------------------------------------------
     def _count(self, counts: Dict[str, int], kind: str) -> None:
@@ -131,7 +110,6 @@ class ValidatedStream(StreamSource):
         finally:
             self._flush(counts)
 
-    # -- adjacency passthrough -----------------------------------------
     def _blocks(self) -> Iterator[Tuple[Vertex, List[Vertex]]]:
         """Validated ``(vertex, neighbors)`` blocks of one pass.
 
@@ -142,18 +120,13 @@ class ValidatedStream(StreamSource):
         split*) cannot be merged without buffering the stream, so it is
         yielded as-is and counted.
         """
-        source_blocks = getattr(self._source, "_blocks", None)
-        if source_blocks is None:
-            raise TypeError(
-                f"{type(self._source).__name__} is not an adjacency-list source"
-            )
         policy = self._policy
         counts: Dict[str, int] = {}
         seen_pairs: set = set()
         finished: set = set()
         held: Optional[Tuple[Vertex, List[Vertex]]] = None
         try:
-            for vertex, neighbors in source_blocks():
+            for vertex, neighbors in self._source._blocks():
                 entries: List[Vertex] = []
                 for u in neighbors:
                     if u == vertex:
@@ -199,18 +172,3 @@ class ValidatedStream(StreamSource):
                 yield held
         finally:
             self._flush(counts)
-
-    def adjacency_lists(self) -> Iterator[Tuple[Vertex, List[Vertex]]]:
-        """Begin a new pass and yield validated adjacency blocks."""
-        self._passes += 1
-        telemetry = _obs.current()
-        if telemetry.enabled:
-            telemetry.metrics.inc("stream.passes")
-        tokens = 0
-        try:
-            for vertex, neighbors in self._blocks():
-                tokens += len(neighbors)
-                yield vertex, neighbors
-        finally:
-            if telemetry.enabled:
-                telemetry.metrics.inc("stream.edges_consumed", tokens)

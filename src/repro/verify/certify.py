@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import api
 from .. import obs as _obs
 from ..baselines.cormode_jowhari import CormodeJowhariTriangles
 from ..baselines.edge_sampling import EdgeSamplingFourCycles, EdgeSamplingTriangles
@@ -46,11 +47,6 @@ from ..graphs.generators import planted_four_cycles, planted_triangles
 from ..graphs.graph import Graph
 from ..resilience.checkpoint import NULL_CHECKPOINT, CheckpointContext, config_hash
 from ..seeding import derive_seed
-from ..streams.models import (
-    AdjacencyListStream,
-    ArbitraryOrderStream,
-    RandomOrderStream,
-)
 from .budgets import (
     Budget,
     cormode_jowhari_budget,
@@ -133,7 +129,9 @@ class GuaranteePlan:
         algorithm_factory = SeededFactory(
             target=self.algorithm, kwargs=dict(budget.params), seed_param=self.seed_param
         )
-        stream_factory = _stream_factory(self.model, graph)
+        stream_factory = SeededFactory(
+            target=api.stream_for, kwargs={"graph": graph, "model": self.model}
+        )
         return BuiltPlan(
             plan=self,
             graph=graph,
@@ -152,20 +150,6 @@ class BuiltPlan:
     budget: Budget
     algorithm_factory: SeededFactory
     stream_factory: SeededFactory
-
-
-def _stream_factory(model: str, graph: Graph) -> SeededFactory:
-    if model == "random":
-        return SeededFactory(target=RandomOrderStream, kwargs={"graph": graph})
-    if model == "adjacency":
-        return SeededFactory(target=AdjacencyListStream, kwargs={"graph": graph})
-    if model == "arbitrary":
-        return SeededFactory(
-            target=ArbitraryOrderStream.from_graph,
-            kwargs={"graph": graph},
-            seed_param=None,
-        )
-    raise ValueError(f"unknown stream model {model!r}")
 
 
 PLANS: Dict[str, GuaranteePlan] = {

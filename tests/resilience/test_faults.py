@@ -162,3 +162,29 @@ class TestFaultyAdjacencyStream:
         faulty = FaultyStream(_edge_stream(), FaultPlan(), seed=0)
         with pytest.raises(TypeError, match="not an adjacency-list source"):
             list(faulty.adjacency_lists())
+
+
+class TestStackedDecorators:
+    """Decorators stack in any order over edge and adjacency sources."""
+
+    @staticmethod
+    def _stacks(base):
+        plan = FaultPlan.mixed(0.1)
+        return [
+            FaultyStream(ValidatedStream(base(), POLICY_REPAIR), plan, seed=1),
+            FaultyStream(FaultyStream(base(), plan, seed=1), plan, seed=2),
+        ]
+
+    def test_over_edge_source(self):
+        for stacked in self._stacks(lambda: RandomOrderStream(_graph(), seed=0)):
+            assert not stacked.provides_adjacency
+            tokens = list(stacked.edges())
+            assert len(tokens) == stacked.stream_length
+            assert stacked.passes_taken == 1
+
+    def test_over_adjacency_source(self):
+        for stacked in self._stacks(lambda: AdjacencyListStream(_graph(), seed=0)):
+            assert stacked.provides_adjacency
+            blocks = list(stacked.adjacency_lists())
+            assert sum(len(ns) for _, ns in blocks) == stacked.stream_length
+            assert stacked.passes_taken == 1

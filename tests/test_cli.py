@@ -155,6 +155,35 @@ class TestEstimateFourCycles:
         assert "four-cycles" in output
         assert "adjacency" in output
 
+    def test_compare_exact_counts_once(self, edge_file, monkeypatch, capsys):
+        import repro.cli
+
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return 0
+
+        monkeypatch.setattr(repro.cli, "four_cycle_count", counting)
+        code = main(
+            [
+                "estimate",
+                str(edge_file),
+                "--problem",
+                "four-cycles",
+                "--model",
+                "adjacency",
+                "--t-guess",
+                "1",
+                "--trials",
+                "2",
+                "--compare-exact",
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert "exact" in capsys.readouterr().out
+
 
 class TestPaperTableCommand:
     def test_prints_measured_table(self, capsys):
