@@ -22,13 +22,17 @@ the paper describes) and fed to
   extractions provide the ``(uv, x_uv)`` samples.  The returned value
   estimate is rounded to the nearest positive integer — the wedge
   vector is integral, so CountSketch recovery is typically exact.
+
+The block's wedge pairs reach the bank as one batch
+(:meth:`~repro.sketches.l2_sampler.L2SamplerBank.update_batch`), hashed
+once under every sampler; nothing outlives the block.
 """
 
 from __future__ import annotations
 
 from typing import List, Set
 
-from ..graphs.graph import Vertex, normalize_edge
+from ..graphs.graph import Vertex, normalize_edge, wedge_pairs
 from ..seeding import component_rng
 from ..sketches.l2_sampler import L2SamplerBank
 from ..sketches.wedge_f2 import WedgeF2Estimator
@@ -104,10 +108,7 @@ class FourCycleL2Sampling:
                 max_degree = max(max_degree, len(neighbors))
                 meter.set("adjacency_buffer", len(neighbors))  # the O(Delta) buffer
                 f2_estimator.process_adjacency_list(vertex, neighbors)
-                ordered = sorted(neighbors, key=repr)
-                for i, u in enumerate(ordered):
-                    for v in ordered[i + 1 :]:
-                        bank.update(normalize_edge(u, v))
+                bank.update_batch(wedge_pairs(neighbors))
 
         with pass_span("post:extract", meter, kind="phase") as span:
             f2_hat = f2_estimator.estimate()

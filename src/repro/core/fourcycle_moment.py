@@ -24,10 +24,11 @@ F2/F1 difference is dominated by noise).
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Dict, Tuple
 
-from ..graphs.graph import Vertex, normalize_edge
-from ..sketches.hashing import KWiseHash
+from ..graphs.graph import Vertex, wedge_pairs
+from ..sketches.hashing import KWiseHash, stable_key_array
 from ..sketches.wedge_f2 import WedgeF2Estimator
 from ..streams.meter import SpaceMeter
 from ..streams.models import AdjacencyListStream
@@ -93,15 +94,14 @@ class FourCycleMoment:
             for vertex, neighbors in stream.adjacency_lists():
                 f2_estimator.process_adjacency_list(vertex, neighbors)
                 if pair_prob > 0:
-                    ordered = sorted(neighbors, key=repr)
-                    for i, u in enumerate(ordered):
-                        for v in ordered[i + 1 :]:
-                            pair = normalize_edge(u, v)
-                            if pair_hash.bernoulli(pair, pair_prob):
-                                if pair not in wedge_counters:
-                                    wedge_counters[pair] = 0
-                                    meter.add("pair_counters")
-                                wedge_counters[pair] += 1
+                    # one hash evaluation per block: the O(Delta) buffer
+                    pairs = wedge_pairs(neighbors)
+                    kept = pair_hash.bernoulli_array(stable_key_array(pairs), pair_prob)
+                    for pair in compress(pairs, kept.tolist()):
+                        if pair not in wedge_counters:
+                            wedge_counters[pair] = 0
+                            meter.add("pair_counters")
+                        wedge_counters[pair] += 1
 
         f2_hat = f2_estimator.estimate()
         cap = 1.0 / self.epsilon

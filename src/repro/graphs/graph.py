@@ -35,6 +35,17 @@ def normalize_edge(u: Vertex, v: Vertex) -> Edge:
     return (u, v) if ordered else (v, u)
 
 
+def wedge_pairs(neighbors: Iterable[Vertex]) -> List[Edge]:
+    """The ``C(d, 2)`` canonical neighbour pairs of one adjacency block.
+
+    These are the wedge-vector coordinates the block increments, in a
+    fixed order (neighbours sorted by ``repr``, then pairs ``i < j``),
+    so every consumer sees one deterministic sequence.
+    """
+    ordered = sorted(neighbors, key=repr)
+    return [normalize_edge(u, v) for i, u in enumerate(ordered) for v in ordered[i + 1 :]]
+
+
 class Graph:
     """A simple undirected graph stored as adjacency sets.
 

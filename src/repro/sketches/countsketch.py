@@ -13,6 +13,12 @@ The table is a numpy array and updates come in two flavors: the scalar
 batched :meth:`update_batch` (vectorized hashing + ``np.add.at``
 scatter), which applies the exact same arithmetic and is
 property-tested equal to a scalar update sequence.
+
+The table may be a view into a larger array: an
+:class:`~repro.sketches.l2_sampler.L2SamplerBank` owns one table for
+all its samplers' sketches and batch-updates them together, while
+each sketch's own :meth:`update` and :meth:`query` keep working on its
+rows.
 """
 
 from __future__ import annotations

@@ -15,12 +15,22 @@ Keys may be integers, strings, or (nested) tuples thereof; they are
 folded into integers by a fixed injective-enough encoding so that the
 same key always maps to the same value regardless of Python's
 per-process hash randomization.
+
+Every scalar method has an exact vectorized counterpart over uint64
+arrays.  :func:`stable_key_array` folds int keys and int pairs with
+array arithmetic, and the Mersenne ``mulmod`` splits operands into
+30/31-bit halves so each Horner step needs a single reduction.
+:class:`HashStack` evaluates many same-degree functions over one key
+array as a ``(functions x keys)`` matrix, which is how a bank of
+sketches hashes a batch under all its rows at once.  The scalar path
+stays the reference the vectorized one is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, List
+from itertools import chain
+from typing import Hashable, Iterable, List, Sequence
 
 import numpy as np
 
@@ -32,74 +42,135 @@ _P64 = np.uint64(MERSENNE_PRIME)
 _SHIFT61 = np.uint64(61)
 _MASK31 = np.uint64((1 << 31) - 1)
 _MASK30 = np.uint64((1 << 30) - 1)
+_SHIFT31 = np.uint64(31)
+_SHIFT30 = np.uint64(30)
+_ONE = np.uint64(1)
+_INV_2_61 = 2.0**-61  # 1 / (P + 1)
 
 
 def _mod_p(x: "np.ndarray") -> "np.ndarray":
-    """Reduce uint64 values ``< 2**63`` modulo ``2**61 - 1``.
+    """Reduce any uint64 values modulo ``P = 2**61 - 1``.
 
-    Uses the Mersenne fold ``x mod p = (x >> 61) + (x & p)`` twice plus a
-    final conditional subtraction, all branch-free on arrays.
+    One Mersenne fold ``y = (x >> 61) + (x & P)`` leaves ``y <= P + 7``.
+    Then ``min(y, y - P)`` finishes: below ``P`` the subtraction wraps
+    past ``2**63`` and the minimum keeps ``y``.
     """
-    x = (x >> _SHIFT61) + (x & _P64)
-    x = (x >> _SHIFT61) + (x & _P64)
-    return np.where(x >= _P64, x - _P64, x)
+    y = (x >> _SHIFT61) + (x & _P64)
+    return np.minimum(y, y - _P64)
+
+
+def _mul_terms(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
+    """An unreduced ``a * b`` (mod ``P``) for uint64 entries ``< 2**61``.
+
+    Splits both operands into 30/31-bit halves so every partial product
+    fits in 64 bits, and uses ``2^61 = 1 (mod P)``:
+
+        a*b = a1*b1*2^62 + mid*2^31 + a0*b0,  mid = a1*b0 + a0*b1 < 2^62
+            = 2*a1*b1 + (mid >> 30) + (mid & (2^30-1))*2^31 + a0*b0
+
+    The four terms are below ``2^61``, ``2^32``, ``2^61`` and ``2^62``,
+    so the result is below ``2^63 + 2^32``: a further addend below
+    ``2^61`` still fits, and one :func:`_mod_p` fold reduces the sum.
+    """
+    a1 = a >> _SHIFT31
+    a0 = a & _MASK31
+    b1 = b >> _SHIFT31
+    b0 = b & _MASK31
+    mid = a1 * b0
+    mid += a0 * b1
+    total = a1 * b1
+    total <<= _ONE
+    total += mid >> _SHIFT30
+    mid &= _MASK30
+    mid <<= _SHIFT31
+    total += mid
+    total += a0 * b0
+    return total
 
 
 def _mulmod_p(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
-    """``a * b mod (2**61 - 1)`` for uint64 arrays with entries ``< 2**61``.
+    """``a * b mod (2**61 - 1)`` for uint64 arrays with entries ``< 2**61``,
+    with a single fold at the end (see :func:`_mul_terms`)."""
+    return _mod_p(_mul_terms(a, b))
 
-    Splits both operands into 31/30-bit halves so every intermediate
-    product fits in 64 bits:
 
-        a*b = a1*b1*2^62 + (a1*b0 + a0*b1)*2^31 + a0*b0,   2^62 = 2 (mod p)
+def _horner(coeffs: "np.ndarray", x: "np.ndarray") -> "np.ndarray":
+    """Evaluate ``F`` polynomials at ``N`` points: a ``(F, N)`` uint64 matrix.
+
+    ``coeffs`` is an ``(F, k)`` uint64 matrix, highest degree first, as
+    :class:`KWiseHash` stores them; ``x`` holds folded keys below ``P``.
+    Each Horner step ``acc * x + c`` is reduced with one fold.
     """
-    a1 = a >> np.uint64(31)
-    a0 = a & _MASK31
-    b1 = b >> np.uint64(31)
-    b0 = b & _MASK31
-    top = _mod_p(_mod_p(a1 * b1) << np.uint64(1))
-    mid = _mod_p(a1 * b0 + a0 * b1)
-    # mid * 2^31 mod p: split mid = m1*2^30 + m0, and 2^61 = 1 (mod p)
-    m1 = mid >> np.uint64(30)
-    m0 = mid & _MASK30
-    mid_term = _mod_p(m1 + (m0 << np.uint64(31)))
-    low = _mod_p(a0 * b0)
-    return _mod_p(top + _mod_p(mid_term + low))
+    acc = coeffs[:, :1]
+    for j in range(1, coeffs.shape[1]):
+        total = _mul_terms(acc, x)
+        total += coeffs[:, j : j + 1]
+        acc = _mod_p(total)
+    if acc.shape[1] != x.size:  # k == 1: a constant function
+        acc = np.repeat(acc, x.size, axis=1)
+    return acc
+
+
+def _only_ints(items: Iterable[object]) -> bool:
+    """All items are (numpy) integers and none is a ``bool``."""
+    types = set(map(type, items))
+    return all(
+        issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types
+    )
+
+
+# stable_key((u, v)) = ((104729 * M + key(u) + 1) * M + key(v) + 1) mod P
+_TUPLE_MUL = np.uint64(1000003)
+_PAIR_OFFSET = np.uint64(104729 * 1000003 + 1)
+
+
+def _fold_ints(values: "np.ndarray") -> "np.ndarray":
+    """:func:`stable_key` of each int64 entry, as uint64 below ``P``."""
+    # numpy's % floors like Python's, so r is in [0, P) for every int64
+    # (the minimum included, which has no int64 absolute value), and a
+    # negative v keys to P - 1 - (-v mod P) = (v - 1) mod P.
+    r = values % MERSENNE_PRIME
+    return np.where(values < 0, (r - 1) % MERSENNE_PRIME, r).astype(np.uint64)
+
+
+def _as_int64(keys: Iterable[object]) -> "np.ndarray | None":
+    try:
+        return np.array(keys, dtype=np.int64)
+    except OverflowError:  # ints beyond int64 take the scalar encoder
+        return None
 
 
 def stable_key_array(keys: Iterable[Hashable]) -> "np.ndarray":
     """Vectorized :func:`stable_key`: fold a batch of keys to uint64 < P.
 
-    Integer arrays are folded with array arithmetic; anything else
-    (tuples, strings, mixed lists) falls back to the scalar encoder per
-    element.  Both paths agree exactly with :func:`stable_key`.
+    Integer arrays and lists of ints are folded with array arithmetic,
+    and so are lists of int pairs ``(u, v)`` (edge and wedge keys), via
+    the Mersenne ``mulmod``.  Anything else (strings, longer tuples,
+    ``bool`` members, ints beyond int64, mixed lists) falls back to the
+    scalar encoder per element.  Every path agrees exactly with
+    :func:`stable_key`.
     """
-    if not isinstance(keys, np.ndarray) and isinstance(keys, (list, tuple, range)):
-        try:
-            candidate = np.asarray(keys)
-        except (OverflowError, ValueError):  # e.g. ints beyond int64
-            candidate = None
-        if (
-            candidate is not None
-            and candidate.ndim == 1
-            and np.issubdtype(candidate.dtype, np.integer)
-        ):
-            keys = candidate
     if isinstance(keys, np.ndarray) and np.issubdtype(keys.dtype, np.integer):
-        values = keys.astype(np.int64, copy=False)
-        # Both branches only ever take modulo of non-negative int64, where
-        # C and Python semantics agree; results are < P < 2**61.
-        folded = np.where(
-            values < 0,
-            MERSENNE_PRIME - 1 - (np.abs(values) % MERSENNE_PRIME),
-            values % MERSENNE_PRIME,
-        )
-        return folded.astype(np.uint64)
-    materialized = keys if hasattr(keys, "__len__") else list(keys)
+        return _fold_ints(keys.astype(np.int64, copy=False))
+    materialized = keys if isinstance(keys, (list, tuple, range)) else list(keys)
+    if materialized and _only_ints(materialized):
+        values = _as_int64(materialized)
+        if values is not None:
+            return _fold_ints(values)
+    elif (
+        materialized
+        and set(map(type, materialized)) == {tuple}
+        and set(map(len, materialized)) == {2}
+        and _only_ints(chain.from_iterable(materialized))
+    ):
+        pairs = _as_int64(materialized)
+        if pairs is not None:
+            acc = _mulmod_p(_mod_p(_fold_ints(pairs[:, 0]) + _PAIR_OFFSET), _TUPLE_MUL)
+            return _mod_p(acc + _fold_ints(pairs[:, 1]) + _ONE)
     return np.fromiter(
         (stable_key(key) for key in materialized),
         dtype=np.uint64,
-        count=len(materialized),  # type: ignore[arg-type]
+        count=len(materialized),
     )
 
 
@@ -209,15 +280,13 @@ class KWiseHash:
         by Horner's rule with the branch-free Mersenne ``mulmod``.
         """
         x = np.asarray(stable_keys, dtype=np.uint64)
-        acc = np.zeros_like(x)
-        for coeff in self._coeffs:
-            acc = _mod_p(_mulmod_p(acc, x) + np.uint64(coeff))
-        return acc
+        return _horner(np.array([self._coeffs], dtype=np.uint64), x.reshape(-1)).reshape(
+            x.shape
+        )
 
     def uniforms_array(self, stable_keys: "np.ndarray") -> "np.ndarray":
         """Vectorized :meth:`uniform` (float64 in ``(0, 1)``)."""
-        values = self.values_array(stable_keys)
-        return (values.astype(np.float64) + 1.0) / float(MERSENNE_PRIME + 1)
+        return unit_uniforms(self.values_array(stable_keys))
 
     def bernoulli_array(self, stable_keys: "np.ndarray", p: float) -> "np.ndarray":
         """Vectorized :meth:`bernoulli` (bool array)."""
@@ -256,6 +325,37 @@ class KWiseHash:
         if u < p0 + p1 + p2:
             return 2
         return 3
+
+
+def unit_uniforms(values: "np.ndarray") -> "np.ndarray":
+    """:meth:`KWiseHash.uniform` of raw hash values: ``(v + 1) / 2^61``.
+
+    ``v + 1`` is formed in uint64 and rounded to float64 once; dividing
+    by ``P + 1 = 2^61`` is then exact, so every entry equals the scalar
+    path's correctly rounded ``(v + 1) / (P + 1)``.
+    """
+    return (values + _ONE).astype(np.float64) * _INV_2_61
+
+
+class HashStack:
+    """Same-degree :class:`KWiseHash` functions evaluated together.
+
+    :meth:`values` runs one Horner pass over a ``(functions x keys)``
+    uint64 matrix, so hashing a batch of keys under many functions (a
+    bank of sketches with several rows each) costs a handful of numpy
+    calls instead of one per function.  Row ``i`` equals
+    ``hashes[i].values_array(keys)`` exactly.
+    """
+
+    def __init__(self, hashes: Sequence[KWiseHash]) -> None:
+        degrees = {h.k for h in hashes}
+        if len(degrees) != 1:
+            raise ValueError(f"need functions of one degree, got degrees {sorted(degrees)}")
+        self._coeffs = np.array([h._coeffs for h in hashes], dtype=np.uint64)
+
+    def values(self, stable_keys: "np.ndarray") -> "np.ndarray":
+        """A ``(len(hashes), len(stable_keys))`` matrix of raw hash values."""
+        return _horner(self._coeffs, np.asarray(stable_keys, dtype=np.uint64))
 
 
 def hash_family(

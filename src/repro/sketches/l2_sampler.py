@@ -19,6 +19,17 @@ A single :class:`L2Sampler` succeeds with probability about
 copies so callers can draw many (approximately) independent samples
 from one pass.
 
+The bank has two update paths over one shared table.  The scalar
+:meth:`L2SamplerBank.update` feeds one key to each sampler in turn and
+is the test oracle.  :meth:`L2SamplerBank.update_batch` hashes a whole
+batch (one adjacency block's wedge pairs) under every sampler's
+bucket, sign and uniform functions in one stacked Horner pass
+(:class:`~repro.sketches.hashing.HashStack`) and scatters it with one
+``np.add.at``; it keeps no per-key memo.  :meth:`L2SamplerBank.samples`
+recovers the whole candidate array in every sampler at once.  Both
+batched methods give bit-identical tables and samples to the scalar
+path.
+
 The candidate domain must be supplied at extraction time (we cannot
 enumerate an implicit domain from the sketch alone); for the wedge
 vector this is all vertex pairs, which is fine at experiment scale.
@@ -27,11 +38,13 @@ vector this is all vertex pairs, which is fine at experiment scale.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, List, Optional, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..seeding import derive_seed
 from .countsketch import CountSketch
-from .hashing import KWiseHash
+from .hashing import HashStack, KWiseHash, stable_key_array, unit_uniforms
 
 
 class L2Sampler:
@@ -107,7 +120,14 @@ class L2Sampler:
 
 
 class L2SamplerBank:
-    """``count`` independent l2 samplers fed the same update stream."""
+    """``count`` independent l2 samplers fed the same update stream.
+
+    The bank owns one ``(count * rows, width)`` table; sampler ``j``'s
+    CountSketch table is the view of rows ``j * rows`` to
+    ``(j + 1) * rows``, so the scalar path (:meth:`update`, one sampler
+    at a time) and the batched path (:meth:`update_batch`, all samplers
+    at once) write the same state.
+    """
 
     def __init__(
         self,
@@ -128,6 +148,16 @@ class L2SamplerBank:
             )
             for j in range(count)
         ]
+        self._rows = rows
+        self._table = np.zeros((count * rows, width), dtype=np.float64)
+        for j, sampler in enumerate(self._samplers):
+            sampler._sketch._table = self._table[j * rows : (j + 1) * rows]
+        sketches = [sampler._sketch for sampler in self._samplers]
+        # every sampler's row hashes, sampler-major, in table-row order
+        self._buckets = HashStack([h for s in sketches for h in s._buckets])
+        self._signs = HashStack([h for s in sketches for h in s._signs])
+        self._uniforms = HashStack([s._uniforms for s in self._samplers])
+        self._row_starts = (np.arange(count * rows) * width)[:, None]
 
     def __len__(self) -> int:
         return len(self._samplers)
@@ -136,20 +166,82 @@ class L2SamplerBank:
         for sampler in self._samplers:
             sampler.update(key, delta)
 
+    def _cells(self, stable: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+        """Flat table index and +-1 sign of every (table row, key)."""
+        width = self._table.shape[1]
+        buckets = (self._buckets.values(stable) % np.uint64(width)).astype(np.int64)
+        signs = np.where(self._signs.values(stable) & np.uint64(1), 1.0, -1.0)
+        return self._row_starts + buckets, signs
+
+    def update_batch(
+        self, keys: Sequence[Hashable], deltas: Optional[Sequence[float]] = None
+    ) -> None:
+        """Apply :meth:`update` to every ``(keys[i], deltas[i])`` at once.
+
+        Every sampler's bucket, sign and uniform hashes are evaluated in
+        one stacked pass, and the scaled updates are scattered into the
+        bank's table with one ``np.add.at``, which adds in key order
+        within each cell.  The table therefore ends up bit-identical to
+        the scalar :meth:`update` loop, and no per-key hash memo fills.
+        """
+        stable = stable_key_array(keys)
+        if stable.size == 0:
+            return
+        if deltas is None:
+            delta_arr = np.ones(stable.size, dtype=np.float64)
+        else:
+            delta_arr = np.asarray(deltas, dtype=np.float64)
+            if delta_arr.shape != stable.shape:
+                raise ValueError(
+                    f"deltas shape {delta_arr.shape} does not match {stable.size} keys"
+                )
+        # the scalar path's delta * (1 / sqrt(u)), then * sign per row
+        scaled = delta_arr * (1.0 / np.sqrt(unit_uniforms(self._uniforms.values(stable))))
+        cells, signs = self._cells(stable)
+        np.add.at(
+            self._table.reshape(-1),
+            cells.reshape(-1),
+            (np.repeat(scaled, self._rows, axis=0) * signs).reshape(-1),
+        )
+
     def samples(
         self, candidates: Iterable[Hashable], f2_estimate: float
     ) -> List[Tuple[Hashable, float]]:
         """Extract every successful sample across the bank.
 
-        ``candidates`` may be consumed multiple times, so pass a
-        re-iterable (list, or a callable domain wrapped by the caller).
+        Equals calling :meth:`L2Sampler.sample` on each sampler in turn,
+        but recovers every candidate in every sampler at once: gather the
+        table cells, take the median over rows (the middle pair averaged
+        for even ``rows``), and pick the first strict maximum of ``|g|``
+        above 0, as the scalar loop does.  Only the winners' uniforms are
+        hashed one key at a time.
         """
+        if f2_estimate < 0:
+            raise ValueError("F2 estimate cannot be negative")
         candidate_list = list(candidates)
+        if not candidate_list:
+            return []
+        cells, signs = self._cells(stable_key_array(candidate_list))
+        rows = self._rows
+        recovered = (signs * self._table.reshape(-1)[cells]).reshape(
+            len(self._samplers), rows, len(candidate_list)
+        )
+        recovered.sort(axis=1)
+        mid = rows // 2
+        if rows % 2:
+            scaled = recovered[:, mid]
+        else:
+            scaled = 0.5 * (recovered[:, mid - 1] + recovered[:, mid])
+        winners = np.abs(scaled).argmax(axis=1)
+        best = scaled[np.arange(len(scaled)), winners]
         results: List[Tuple[Hashable, float]] = []
-        for sampler in self._samplers:
-            drawn = sampler.sample(candidate_list, f2_estimate)
-            if drawn is not None:
-                results.append(drawn)
+        for sampler, winner, best_scaled in zip(self._samplers, winners.tolist(), best):
+            if best_scaled == 0.0:
+                continue
+            if best_scaled * best_scaled < f2_estimate / sampler.accept_scale:
+                continue
+            key = candidate_list[winner]
+            results.append((key, best_scaled * math.sqrt(sampler._uniforms.uniform(key))))
         return results
 
     @property

@@ -1,10 +1,12 @@
 """l2 sampler: sampling distribution proportional to f_i^2."""
 
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from repro.sketches import L2Sampler, L2SamplerBank
+from repro.sketches import MERSENNE_PRIME, L2Sampler, L2SamplerBank
 
 
 class TestL2Sampler:
@@ -83,3 +85,85 @@ class TestL2SamplerBank:
         bank = L2SamplerBank(count=3, rows=4, width=32, seed=0)
         assert bank.space_items == 3 * 4 * 32
         assert len(bank) == 3
+
+
+def _scalar_samples(bank, candidates, f2):
+    """The per-sampler reference for ``L2SamplerBank.samples``."""
+    drawn = [sampler.sample(candidates, f2) for sampler in bank._samplers]
+    return [d for d in drawn if d is not None]
+
+
+class TestBankBatchOracle:
+    """``update_batch`` / batched ``samples`` equal the scalar path bit for bit."""
+
+    @pytest.mark.parametrize("rows", [4, 5])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_batch_equals_scalar(self, rows, seed):
+        rng = random.Random(seed)
+        keys = [(rng.randrange(12), rng.randrange(12, 30)) for _ in range(400)]
+        deltas = [rng.choice([1, -1, 2, 0.5, -3.25]) for _ in keys]
+        scalar = L2SamplerBank(count=6, seed=seed, rows=rows, width=32)
+        batched = L2SamplerBank(count=6, seed=seed, rows=rows, width=32)
+        for key, delta in zip(keys, deltas):
+            scalar.update(key, delta)
+        for start in range(0, len(keys), 37):  # several blocks
+            batched.update_batch(keys[start : start + 37], deltas[start : start + 37])
+        assert batched._table.tolist() == scalar._table.tolist()
+        candidates = sorted(set(keys)) + [(40, 41)]
+        f2 = float(sum(d * d for d in deltas))
+        drawn = 0
+        for f2_estimate in (f2, f2 / 50, 0.0):
+            expected = _scalar_samples(scalar, candidates, f2_estimate)
+            assert batched.samples(candidates, f2_estimate) == expected
+            assert scalar.samples(candidates, f2_estimate) == expected
+            drawn += len(expected)
+        assert drawn > 0
+
+    def test_ties_go_to_the_first_candidate(self):
+        # 3 and P + 3 fold to the same key, so every sketch ties them
+        bank = L2SamplerBank(count=4, seed=5, rows=4, width=16)
+        bank.update_batch([3, 3, 9], [2.0, 1.0, -1.0])
+        for candidates in ([3, MERSENNE_PRIME + 3, 9], [MERSENNE_PRIME + 3, 3, 9]):
+            drawn = bank.samples(candidates, 0.0)
+            assert drawn and drawn == _scalar_samples(bank, candidates, 0.0)
+            assert {key for key, _ in drawn} <= {candidates[0], 9}
+
+    def test_default_deltas_and_string_keys(self):
+        keys = [f"k{i % 9}" for i in range(60)]
+        scalar = L2SamplerBank(count=4, seed=2, rows=3, width=16)
+        batched = L2SamplerBank(count=4, seed=2, rows=3, width=16)
+        for key in keys:
+            scalar.update(key)
+        batched.update_batch(keys)
+        assert batched._table.tolist() == scalar._table.tolist()
+        candidates = sorted(set(keys))
+        assert batched.samples(candidates, 100.0) == _scalar_samples(scalar, candidates, 100.0)
+
+    def test_samplers_share_the_bank_table(self):
+        bank = L2SamplerBank(count=3, seed=1, rows=2, width=8)
+        bank.update_batch([(0, 1)], [2.0])
+        bank._samplers[1].update((2, 3), -1.0)
+        stacked = np.vstack([s._sketch._table for s in bank._samplers])
+        assert stacked.tolist() == bank._table.tolist()
+        assert np.count_nonzero(bank._table[2:4]) > 0
+
+    def test_batch_fills_no_memo(self):
+        bank = L2SamplerBank(count=5, seed=4, rows=5, width=64)
+        before = bank.space_items
+        keys = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+        bank.update_batch(keys)
+        bank.samples(keys, 10.0)
+        assert all(s._sketch.cache_entries == 0 for s in bank._samplers)
+        assert all(not s._scale_cache for s in bank._samplers)
+        assert bank.space_items == before
+
+    def test_empty_inputs(self):
+        bank = L2SamplerBank(count=2, seed=0, rows=3, width=8)
+        bank.update_batch([])
+        assert not bank._table.any()
+        assert bank.samples([], 1.0) == []
+        assert bank.samples([(0, 1)], 1.0) == []  # nothing recovered above 0
+        with pytest.raises(ValueError):
+            bank.samples([(0, 1)], -1.0)
+        with pytest.raises(ValueError):
+            bank.update_batch([(0, 1), (1, 2)], [1.0])
