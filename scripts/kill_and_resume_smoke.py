@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Kill-and-resume smoke test for the checkpoint layer.
 
-Scenario: an experiment run is killed (real SIGTERM) right after its
-first completed checkpoint unit; a second invocation resumes from the
-checkpoint file through the real CLI and must
+Scenario: a light experiment run, or a ``paper-table`` run at
+``--trials 1``, is killed (real SIGTERM) right after its first completed
+checkpoint unit; a second invocation resumes from the checkpoint file
+through the real CLI and must
 
 * report the interrupted unit as resumed (served from the file), and
 * print a record table byte-identical to an uninterrupted run.
@@ -12,7 +13,7 @@ The kill is deterministic — the child schedules its own SIGTERM after
 the first unit lands — so this passes or fails on the checkpoint
 logic, never on scheduler timing.  Exits 0 on success.
 
-Usage: python scripts/kill_and_resume_smoke.py [experiment] [seed]
+Usage: python scripts/kill_and_resume_smoke.py [experiment | paper-table] [seed]
 """
 
 from __future__ import annotations
@@ -25,20 +26,29 @@ import sys
 import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-EXPERIMENT = sys.argv[1] if len(sys.argv) > 1 else "E12"
+TARGET = sys.argv[1] if len(sys.argv) > 1 else "E12"
 SEED = sys.argv[2] if len(sys.argv) > 2 else "0"
+if TARGET == "paper-table":
+    COMMAND, NOUN = ["paper-table", "--trials", "1"], "row(s)"
+else:
+    COMMAND, NOUN = ["run-experiment", TARGET], "unit(s)"
 
 # The interrupted run: complete one unit, then die by SIGTERM exactly
 # the way an OOM-killer / preemption would end the process.
 _CHILD = """
 import os, signal, sys
 from repro.resilience import Checkpoint, CheckpointContext
-from repro.experiments import experiment_checkpoint_key, run_experiment
+from repro.experiments import experiment_checkpoint_key, paper_table, run_experiment
+from repro.experiments.suite import paper_table_checkpoint_key
 
-path, experiment, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
-ctx = CheckpointContext(
-    Checkpoint(path, key=experiment_checkpoint_key(experiment, seed))
-)
+path, target, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+if target == "paper-table":
+    key = paper_table_checkpoint_key(seed, trials=1)
+    run = lambda ctx: paper_table(seed=seed, trials=1, checkpoint=ctx)
+else:
+    key = experiment_checkpoint_key(target, seed)
+    run = lambda ctx: run_experiment(target, seed=seed, checkpoint=ctx)
+ctx = CheckpointContext(Checkpoint(path, key=key))
 real_unit = ctx.unit
 
 def dying_unit(name, thunk):
@@ -47,7 +57,7 @@ def dying_unit(name, thunk):
     raise AssertionError("unreachable: SIGTERM should have ended the process")
 
 ctx.unit = dying_unit
-run_experiment(experiment, seed=seed, checkpoint=ctx)
+run(ctx)
 """
 
 
@@ -64,7 +74,7 @@ def main() -> int:
         ck = os.path.join(tmp, "smoke.jsonl")
 
         interrupted = _run(
-            [sys.executable, "-c", _CHILD, ck, EXPERIMENT, SEED]
+            [sys.executable, "-c", _CHILD, ck, TARGET, SEED]
         )
         if interrupted.returncode != -signal.SIGTERM:
             print(
@@ -81,23 +91,18 @@ def main() -> int:
 
         resumed = _run(
             [
-                sys.executable, "-m", "repro", "run-experiment", EXPERIMENT,
+                sys.executable, "-m", "repro", *COMMAND,
                 "--seed", SEED, "--checkpoint", ck, "--resume",
             ]
         )
         if resumed.returncode != 0:
             print(f"FAIL: resume exited {resumed.returncode}\n{resumed.stderr}")
             return 1
-        if "1 unit(s) resumed" not in resumed.stdout:
+        if f"1 {NOUN} resumed" not in resumed.stdout:
             print(f"FAIL: resume did not reuse the checkpointed unit:\n{resumed.stdout}")
             return 1
 
-        reference = _run(
-            [
-                sys.executable, "-m", "repro", "run-experiment", EXPERIMENT,
-                "--seed", SEED,
-            ]
-        )
+        reference = _run([sys.executable, "-m", "repro", *COMMAND, "--seed", SEED])
         if reference.returncode != 0:
             print(f"FAIL: reference run exited {reference.returncode}\n{reference.stderr}")
             return 1
@@ -113,7 +118,7 @@ def main() -> int:
             return 1
 
     print(
-        f"OK: {EXPERIMENT} killed by SIGTERM after 1 unit, resumed the unit "
+        f"OK: {TARGET} killed by SIGTERM after 1 unit, resumed the unit "
         "from the checkpoint, and reproduced the uninterrupted records "
         "byte-identically"
     )

@@ -26,6 +26,7 @@ from .core.boosting import MedianBoost
 from .experiments.calibration import estimate_with_guesses
 from .experiments.sweeps import guess_schedule
 from .graphs.graph import Graph
+from .streams.meter import SpaceMeter
 from .streams.models import (
     AdjacencyListStream,
     ArbitraryOrderStream,
@@ -113,40 +114,46 @@ def estimate(
     Args:
         t_guess: the count parameter; ``None`` runs the geometric
             guess schedule (one instance per guess, self-consistency
-            selection) and returns the selected instance's estimate
-            wrapped in a synthetic result.
+            selection) and returns the selected instance's estimate.
+            The instances run side by side, so the result reports their
+            largest pass count and the sum of their space.
         boost_copies: run this many independent copies and take the
-            median (the paper's log(1/delta) amplification).
+            median (the paper's log(1/delta) amplification); with the
+            guess schedule, every guess's instance is boosted.
     """
-    if t_guess is not None:
+
+    def counter(guess: float, instance_seed: int):
         def factory(copy_seed: int):
             return make_counter(
-                problem, model, t_guess=t_guess, epsilon=epsilon, seed=copy_seed, **kwargs
+                problem, model, t_guess=guess, epsilon=epsilon, seed=copy_seed, **kwargs
             )
 
         if boost_copies > 1:
-            algorithm = MedianBoost(factory, copies=boost_copies, seed=seed)
-        else:
-            algorithm = factory(seed)
-        return algorithm.run(stream_for(graph, model, seed=seed))
+            return MedianBoost(factory, copies=boost_copies, seed=instance_seed)
+        return factory(instance_seed)
+
+    if t_guess is not None:
+        return counter(t_guess, seed).run(stream_for(graph, model, seed=seed))
 
     outcome = estimate_with_guesses(
-        algorithm_factory=lambda guess, inner_seed: make_counter(
-            problem, model, t_guess=guess, epsilon=epsilon, seed=inner_seed, **kwargs
-        ),
+        algorithm_factory=counter,
         stream_factory=lambda inner_seed: stream_for(graph, model, seed=inner_seed),
         guesses=guess_schedule(graph.num_edges),
         seed=seed,
     )
-    from .streams.meter import SpaceMeter
-
+    # the guess instances run side by side over the same passes
     meter = SpaceMeter()
+    for index, result in enumerate(outcome.results):
+        meter.merge(result.space, prefix=f"guess{index}_")
     return EstimateResult(
         estimate=outcome.estimate,
-        passes=1,
+        passes=max(result.passes for result in outcome.results),
         space=meter,
         algorithm=f"auto-{problem}-{model}",
-        details={"guess_table": outcome.table(), "selected_guess": outcome.selected_guess},
+        details={
+            "guess_table": outcome.table(),
+            "selected_guess": outcome.selected_guess,
+        },
     )
 
 

@@ -2,21 +2,27 @@
 
 Commands:
 
-* ``workloads``  — list the named workload families.
-* ``generate``   — build a workload and write it as an edge-list file.
-* ``exact``      — exact triangle / four-cycle counts of an edge list.
-* ``estimate``   — run a streaming algorithm over an edge-list file.
-* ``experiments``— print the experiment index (id -> bench target).
-* ``obs``        — observability: render a trace file into a report.
+* ``workloads``      — list the named workload families.
+* ``generate``       — build a workload and write it as an edge-list file.
+* ``exact``          — exact triangle / four-cycle counts of an edge list.
+* ``estimate``       — run a streaming algorithm over an edge-list file.
+* ``experiments``    — print the experiment index (id -> bench target).
+* ``run-experiment`` — run one light experiment variant inline.
+* ``paper-table``    — regenerate the Section 1.1 table with measured columns.
+* ``verify``         — statistical guarantee certification: ``guarantee``,
+  ``variance``, ``seeds`` and ``all``.
+* ``obs``            — observability: render a trace file into a report.
 
-``estimate``, ``run-experiment`` and ``paper-table`` accept ``--trace
-PATH`` to record a JSON-lines telemetry trace (spans, metrics, run
-manifest) that ``repro obs report PATH`` renders afterwards.
+``estimate``, ``run-experiment``, ``paper-table`` and the ``verify``
+commands other than ``seeds`` accept ``--trace PATH`` to record a
+JSON-lines telemetry trace (spans, metrics, run manifest) that ``repro
+obs report PATH`` renders afterwards.
 
-``run-experiment`` and ``paper-table`` accept ``--checkpoint PATH`` to
-persist each completed unit of work atomically, and ``--resume`` to
-restart an interrupted run from that file — recomputing only the
-missing units, with byte-identical results (see docs/robustness.md).
+``run-experiment``, ``paper-table``, ``verify guarantee`` and ``verify
+all`` accept ``--checkpoint PATH`` to persist each completed unit of
+work atomically, and ``--resume`` to restart an interrupted run from
+that file — recomputing only the missing units, with byte-identical
+results (see docs/robustness.md).
 
 Examples::
 
@@ -70,45 +76,51 @@ def _estimate_with_seed(estimate_one, seed: int):
     return estimate_one(seed=seed)
 
 
-def _maybe_trace(args: argparse.Namespace):
-    """A telemetry session writing to ``--trace``, or a no-op context."""
+@contextlib.contextmanager
+def _traced(args: argparse.Namespace):
+    """A telemetry session writing to ``--trace``, or the current no-op one.
+
+    Says where the trace went once the session has closed and written it.
+    """
     path = getattr(args, "trace", None)
     if not path:
-        return contextlib.nullcontext(_obs.current())
-    config = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("func",) and not callable(value)
-    }
-    return _obs.session(path=path, config=config)
+        yield _obs.current()
+        return
+    config = {key: value for key, value in vars(args).items() if not callable(value)}
+    with _obs.session(path=path, config=config) as telemetry:
+        yield telemetry
+    print(f"trace written to {path}")
 
 
-def _checkpoint_context(args: argparse.Namespace, key: str):
-    """A :class:`CheckpointContext` from ``--checkpoint``/``--resume``.
+@contextlib.contextmanager
+def _checkpointed(args: argparse.Namespace, key: str, noun: str):
+    """A traced run with the :class:`CheckpointContext` of
+    ``--checkpoint``/``--resume``.
 
-    Returns the inactive context when no path was given.  ``key`` is
-    the run's config hash: resuming against a checkpoint recorded for
-    a different config/seed fails loudly instead of mixing results.
+    ``key`` is the run's config hash: resuming against a checkpoint
+    recorded for a different config/seed fails loudly instead of mixing
+    results.  The resume lineage goes into the run manifest, and the
+    hit/miss line counted in ``noun`` is printed after the trace line.
     """
     from .resilience.checkpoint import NULL_CHECKPOINT, Checkpoint, CheckpointContext
 
-    path = getattr(args, "checkpoint", None)
-    if not path:
-        if getattr(args, "resume", False):
-            raise SystemExit("--resume requires --checkpoint PATH")
-        return NULL_CHECKPOINT
-    store = Checkpoint(path, key=key, resume=bool(getattr(args, "resume", False)))
-    return CheckpointContext(store)
-
-
-def _record_checkpoint_lineage(telemetry, checkpoint) -> None:
-    """Attach the checkpoint's resume lineage to the run manifest."""
-    lineage = checkpoint.lineage()
-    if lineage is None or not telemetry.enabled:
-        return
-    manifest = getattr(telemetry, "manifest", None)
-    if manifest is not None:
-        manifest.record_invocation("checkpoint", lineage)
+    checkpoint = NULL_CHECKPOINT
+    if args.checkpoint:
+        checkpoint = CheckpointContext(
+            Checkpoint(args.checkpoint, key=key, resume=args.resume)
+        )
+    elif args.resume:
+        raise SystemExit("--resume requires --checkpoint PATH")
+    with _traced(args) as telemetry:
+        lineage = checkpoint.lineage()
+        if lineage is not None and telemetry.manifest is not None:
+            telemetry.manifest.record_invocation("checkpoint", lineage)
+        yield checkpoint
+    if checkpoint.active:
+        print(
+            f"checkpoint {args.checkpoint}: {checkpoint.hits} {noun} resumed, "
+            f"{checkpoint.misses} computed"
+        )
 
 
 def _cmd_workloads(_args: argparse.Namespace) -> int:
@@ -161,7 +173,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             if args.problem == "triangles"
             else four_cycle_count(graph)
         )
-    with _maybe_trace(args) as telemetry:
+    with _traced(args) as telemetry:
         with telemetry.tracer.span(
             "estimate", kind="experiment", problem=args.problem, model=args.model
         ):
@@ -170,40 +182,38 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                 [args.seed + trial for trial in range(args.trials)],
                 n_jobs=args.jobs,
             )
+        estimates: List[float] = [result.estimate for result in results]
+        spaces: List[int] = [result.space_items for result in results]
         if telemetry.enabled:
             payload = {
                 "problem": args.problem,
                 "model": args.model,
                 "trials": args.trials,
                 "epsilon": args.epsilon,
-                "estimates": [result.estimate for result in results],
-                "space_items": [result.space_items for result in results],
+                "estimates": estimates,
+                "space_items": spaces,
             }
             if truth is not None:
                 payload["truth"] = truth
             telemetry.record_run("estimate", payload)
-    estimates: List[float] = [result.estimate for result in results]
-    spaces: List[int] = [result.space_items for result in results]
-    passes = results[-1].passes if results else 0
-    rows = [
-        {
-            "problem": args.problem,
-            "model": args.model,
-            "median_estimate": round(statistics.median(estimates), 2),
-            "trials": args.trials,
-            "passes": passes,
-            "median_space": statistics.median(spaces),
-        }
-    ]
-    if truth is not None:
-        rows[0]["exact"] = truth
-        if truth:
-            rows[0]["median_rel_err"] = round(
-                abs(statistics.median(estimates) - truth) / truth, 4
-            )
-    print(format_records(rows))
-    if getattr(args, "trace", None):
-        print(f"trace written to {args.trace}")
+        passes = results[-1].passes if results else 0
+        rows = [
+            {
+                "problem": args.problem,
+                "model": args.model,
+                "median_estimate": round(statistics.median(estimates), 2),
+                "trials": args.trials,
+                "passes": passes,
+                "median_space": statistics.median(spaces),
+            }
+        ]
+        if truth is not None:
+            rows[0]["exact"] = truth
+            if truth:
+                rows[0]["median_rel_err"] = round(
+                    abs(statistics.median(estimates) - truth) / truth, 4
+                )
+        print(format_records(rows))
     return 0
 
 
@@ -228,47 +238,26 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
 
 
 def _cmd_paper_table(args: argparse.Namespace) -> int:
-    from .experiments.paper_table import paper_table, paper_table_checkpoint_key
+    from .experiments.suite import paper_table, paper_table_checkpoint_key
 
-    checkpoint = _checkpoint_context(
-        args, key=paper_table_checkpoint_key(args.seed, args.trials)
-    )
-    with _maybe_trace(args) as telemetry:
-        _record_checkpoint_lineage(telemetry, checkpoint)
+    key = paper_table_checkpoint_key(args.seed, args.trials)
+    with _checkpointed(args, key, "row(s)") as checkpoint:
         table = paper_table(seed=args.seed, trials=args.trials, checkpoint=checkpoint)
-    print("Section 1.1 contributions table, with measured columns")
-    print(format_records(table))
-    if getattr(args, "trace", None):
-        print(f"trace written to {args.trace}")
-    if checkpoint.active:
-        print(
-            f"checkpoint {args.checkpoint}: {checkpoint.hits} row(s) resumed, "
-            f"{checkpoint.misses} computed"
-        )
+        print("Section 1.1 contributions table, with measured columns")
+        print(format_records(table))
     return 0
 
 
 def _cmd_run_experiment(args: argparse.Namespace) -> int:
     from .experiments.suite import SUITE, experiment_checkpoint_key, run_experiment
 
-    checkpoint = _checkpoint_context(
-        args, key=experiment_checkpoint_key(args.id, args.seed)
-    )
-    with _maybe_trace(args) as telemetry:
-        _record_checkpoint_lineage(telemetry, checkpoint)
+    key = experiment_checkpoint_key(args.id, args.seed)
+    with _checkpointed(args, key, "unit(s)") as checkpoint:
         records = run_experiment(
             args.id, seed=args.seed, n_jobs=args.jobs, checkpoint=checkpoint
         )
-    experiment = SUITE[args.id.upper()]
-    print(experiment.title)
-    print(format_records(records))
-    if getattr(args, "trace", None):
-        print(f"trace written to {args.trace}")
-    if checkpoint.active:
-        print(
-            f"checkpoint {args.checkpoint}: {checkpoint.hits} unit(s) resumed, "
-            f"{checkpoint.misses} computed"
-        )
+        print(SUITE[args.id.upper()].title)
+        print(format_records(records))
     return 0
 
 
@@ -293,49 +282,49 @@ def _verify_epsilon_delta(args: argparse.Namespace):
     return args.epsilon, args.delta
 
 
+def _certify_all(args: argparse.Namespace, names, epsilon, delta, checkpoint):
+    from .verify import certify_all
+
+    return certify_all(
+        names,
+        epsilon,
+        delta,
+        confidence=args.confidence,
+        batch_size=args.batch,
+        max_trials=args.max_trials,
+        seed=args.seed,
+        n_jobs=args.jobs,
+        quick=args.quick,
+        method=args.method,
+        checkpoint=checkpoint,
+    )
+
+
+def _certify_key(args: argparse.Namespace, names, epsilon, delta) -> str:
+    from .verify import certify_checkpoint_key
+
+    return certify_checkpoint_key(
+        names, epsilon, delta, args.seed, args.quick, args.batch, args.max_trials
+    )
+
+
 def _cmd_verify_guarantee(args: argparse.Namespace) -> int:
-    from .verify import certificates_to_json, certify, certify_checkpoint_key
+    from .verify import certificates_to_json
     from .verify.report import render_certificates, summarize_verdicts, write_json
 
     names = _resolve_verify_plans(args)
     epsilon, delta = _verify_epsilon_delta(args)
-    checkpoint = _checkpoint_context(
-        args,
-        key=certify_checkpoint_key(
-            names, epsilon, delta, args.seed, args.quick, args.batch, args.max_trials
-        ),
-    )
-    with _maybe_trace(args) as telemetry:
-        _record_checkpoint_lineage(telemetry, checkpoint)
-        certificates = [
-            certify(
-                name,
-                epsilon,
-                delta,
-                confidence=args.confidence,
-                batch_size=args.batch,
-                max_trials=args.max_trials,
-                seed=args.seed,
-                n_jobs=args.jobs,
-                quick=args.quick,
-                method=args.method,
-                checkpoint=checkpoint,
-            )
-            for name in names
-        ]
-    print(
-        f"guarantee certification: eps={epsilon} delta={delta:.4f} "
-        f"confidence={args.confidence}"
-    )
-    print(render_certificates(certificates))
-    if args.json:
-        write_json(args.json, certificates_to_json(certificates=certificates))
-        print(f"certificates written to {args.json}")
-    if checkpoint.active:
+    key = _certify_key(args, names, epsilon, delta)
+    with _checkpointed(args, key, "batch(es)") as checkpoint:
+        certificates = _certify_all(args, names, epsilon, delta, checkpoint)
         print(
-            f"checkpoint {args.checkpoint}: {checkpoint.hits} batch(es) resumed, "
-            f"{checkpoint.misses} computed"
+            f"guarantee certification: eps={epsilon} delta={delta:.4f} "
+            f"confidence={args.confidence}"
         )
+        print(render_certificates(certificates))
+        if args.json:
+            write_json(args.json, certificates_to_json(certificates=certificates))
+            print(f"certificates written to {args.json}")
     failing = summarize_verdicts(certificates)["FAIL"]
     if failing:
         print(f"FAILED guarantees: {', '.join(failing)}", file=sys.stderr)
@@ -344,29 +333,29 @@ def _cmd_verify_guarantee(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_variance(args: argparse.Namespace) -> int:
-    from .verify import certificates_to_json, check_variance
+    from .verify import certificates_to_json, check_variance_all
     from .verify.report import render_variance, write_json
 
     names = _resolve_verify_plans(args)
     epsilon, delta = _verify_epsilon_delta(args)
-    with _maybe_trace(args):
-        reports = [
-            check_variance(
-                name,
-                epsilon,
-                delta,
-                trials=args.trials,
-                seed=args.seed,
-                n_jobs=args.jobs,
-                quick=args.quick,
-            )
-            for name in names
-        ]
-    print(f"variance-ratio checks: eps={epsilon} delta={delta:.4f} trials={args.trials}")
-    print(render_variance(reports))
-    if args.json:
-        write_json(args.json, certificates_to_json(variance_reports=reports))
-        print(f"report written to {args.json}")
+    with _traced(args):
+        reports = check_variance_all(
+            names,
+            epsilon,
+            delta,
+            trials=args.trials,
+            seed=args.seed,
+            n_jobs=args.jobs,
+            quick=args.quick,
+        )
+        print(
+            f"variance-ratio checks: eps={epsilon} delta={delta:.4f} "
+            f"trials={args.trials}"
+        )
+        print(render_variance(reports))
+        if args.json:
+            write_json(args.json, certificates_to_json(variance_reports=reports))
+            print(f"report written to {args.json}")
     failing = [report.algorithm for report in reports if report.verdict == "FAIL"]
     if failing:
         print(f"FAILED variance checks: {', '.join(failing)}", file=sys.stderr)
@@ -388,13 +377,7 @@ def _cmd_verify_seeds(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    from .verify import (
-        audit_seeds,
-        certify,
-        certify_checkpoint_key,
-        check_variance,
-        default_probes,
-    )
+    from .verify import audit_seeds, check_variance_all, default_probes
     from .verify.report import (
         certificates_to_json,
         render_certificates,
@@ -409,65 +392,36 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     probes = default_probes()
     collisions = audit_seeds(probes)
     print(render_seed_audit(collisions, probes=len(probes)))
-    checkpoint = _checkpoint_context(
-        args,
-        key=certify_checkpoint_key(
-            names, epsilon, delta, args.seed, args.quick, args.batch, args.max_trials
-        ),
-    )
-    with _maybe_trace(args) as telemetry:
-        _record_checkpoint_lineage(telemetry, checkpoint)
-        certificates = [
-            certify(
-                name,
-                epsilon,
-                delta,
-                confidence=args.confidence,
-                batch_size=args.batch,
-                max_trials=args.max_trials,
-                seed=args.seed,
-                n_jobs=args.jobs,
-                quick=args.quick,
-                method=args.method,
-                checkpoint=checkpoint,
-            )
-            for name in names
-        ]
-        reports = [
-            check_variance(
-                name,
-                epsilon,
-                delta,
-                trials=args.trials,
-                seed=args.seed,
-                n_jobs=args.jobs,
-                quick=args.quick,
-                checkpoint=checkpoint,
-            )
-            for name in names
-        ]
-    print(
-        f"\nguarantee certification: eps={epsilon} delta={delta:.4f} "
-        f"confidence={args.confidence}"
-    )
-    print(render_certificates(certificates))
-    print(f"\nvariance-ratio checks: trials={args.trials}")
-    print(render_variance(reports))
-    if args.json:
-        write_json(
-            args.json,
-            certificates_to_json(
-                certificates=certificates,
-                variance_reports=reports,
-                seed_collisions=collisions,
-            ),
+    key = _certify_key(args, names, epsilon, delta)
+    with _checkpointed(args, key, "unit(s)") as checkpoint:
+        certificates = _certify_all(args, names, epsilon, delta, checkpoint)
+        reports = check_variance_all(
+            names,
+            epsilon,
+            delta,
+            trials=args.trials,
+            seed=args.seed,
+            n_jobs=args.jobs,
+            quick=args.quick,
+            checkpoint=checkpoint,
         )
-        print(f"report written to {args.json}")
-    if checkpoint.active:
         print(
-            f"checkpoint {args.checkpoint}: {checkpoint.hits} unit(s) resumed, "
-            f"{checkpoint.misses} computed"
+            f"\nguarantee certification: eps={epsilon} delta={delta:.4f} "
+            f"confidence={args.confidence}"
         )
+        print(render_certificates(certificates))
+        print(f"\nvariance-ratio checks: trials={args.trials}")
+        print(render_variance(reports))
+        if args.json:
+            write_json(
+                args.json,
+                certificates_to_json(
+                    certificates=certificates,
+                    variance_reports=reports,
+                    seed_collisions=collisions,
+                ),
+            )
+            print(f"report written to {args.json}")
     failing = summarize_verdicts(certificates)["FAIL"]
     variance_failing = [r.algorithm for r in reports if r.verdict == "FAIL"]
     problems = []
@@ -496,6 +450,39 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     if flagged and args.strict:
         return 1
     return 0
+
+
+def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for independent trials (-1 = all cores)",
+    )
+
+
+def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="write a JSON-lines telemetry trace (render with `repro obs report`)",
+    )
+
+
+def _add_checkpoint_flags(parser: argparse.ArgumentParser, noun: str) -> None:
+    """``--checkpoint``/``--resume`` for a command checkpointed per ``noun``."""
+    parser.add_argument(
+        "--checkpoint",
+        default=None,
+        metavar="PATH",
+        help=f"persist each completed {noun} to this file (atomic JSON lines)",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help=f"resume from --checkpoint, recomputing only each {noun} it lacks",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,18 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also compute the exact count and report the error",
     )
-    estimate.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for independent trials (-1 = all cores)",
-    )
-    estimate.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a JSON-lines telemetry trace (render with `repro obs report`)",
-    )
+    _add_jobs_flag(estimate)
+    _add_trace_flag(estimate)
     estimate.set_defaults(func=_cmd_estimate)
 
     sub.add_parser("experiments", help="print the experiment index").set_defaults(
@@ -562,23 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table.add_argument("--seed", type=int, default=0)
     table.add_argument("--trials", type=int, default=3)
-    table.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a JSON-lines telemetry trace (render with `repro obs report`)",
-    )
-    table.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="persist each completed row to this file (atomic JSON lines)",
-    )
-    table.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from --checkpoint, recomputing only missing rows",
-    )
+    _add_trace_flag(table)
+    _add_checkpoint_flags(table, "row")
     table.set_defaults(func=_cmd_paper_table)
 
     run_exp = sub.add_parser(
@@ -586,29 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_exp.add_argument("id", help="experiment id, e.g. E9")
     run_exp.add_argument("--seed", type=int, default=0)
-    run_exp.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for independent trials (-1 = all cores)",
-    )
-    run_exp.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a JSON-lines telemetry trace (render with `repro obs report`)",
-    )
-    run_exp.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="persist each completed unit to this file (atomic JSON lines)",
-    )
-    run_exp.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from --checkpoint, recomputing only missing units",
-    )
+    _add_jobs_flag(run_exp)
+    _add_trace_flag(run_exp)
+    _add_checkpoint_flags(run_exp, "unit")
     run_exp.set_defaults(func=_cmd_run_experiment)
 
     verify = sub.add_parser(
@@ -638,12 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
             "overriding --epsilon/--delta",
         )
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker processes for independent trials (-1 = all cores)",
-        )
+        _add_jobs_flag(p)
         p.add_argument(
             "--quick",
             action="store_true",
@@ -652,12 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--json", default=None, metavar="PATH", help="also write results as JSON"
         )
-        p.add_argument(
-            "--trace",
-            default=None,
-            metavar="PATH",
-            help="write a JSON-lines telemetry trace (render with `repro obs report`)",
-        )
+        _add_trace_flag(p)
         if trials_flag:
             p.add_argument(
                 "--trials",
@@ -682,23 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
                 default="wilson",
                 help="confidence-interval method for the failure probability",
             )
-            p.add_argument(
-                "--checkpoint",
-                default=None,
-                metavar="PATH",
-                help="persist each completed batch to this file (atomic JSON lines)",
-            )
-            p.add_argument(
-                "--resume",
-                action="store_true",
-                help="resume from --checkpoint, recomputing only missing batches",
-            )
 
     guarantee = verify_sub.add_parser(
         "guarantee",
         help="certify P(|est - T| > eps T) <= delta with a binomial CI",
     )
     _add_verify_common(guarantee, certify_flags=True)
+    _add_checkpoint_flags(guarantee, "batch")
     guarantee.set_defaults(func=_cmd_verify_guarantee)
 
     variance = verify_sub.add_parser(
@@ -720,6 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
         "all", help="seed audit + guarantee certificates + variance checks"
     )
     _add_verify_common(verify_all, trials_flag=True, certify_flags=True)
+    _add_checkpoint_flags(verify_all, "unit")
     verify_all.set_defaults(func=_cmd_verify_all)
 
     obs = sub.add_parser("obs", help="observability commands")

@@ -4,7 +4,6 @@ from .calibration import GuessOutcome, estimate_with_guesses
 from .export import export_csv, export_json, load_json
 from .frontier import Frontier, FrontierPoint, dominates, measure_frontier
 from .groundtruth import cache_info, cached_ground_truth, clear_cache
-from .paper_table import paper_table
 from .parallel import (
     ParallelTrialRunner,
     RetryPolicy,
@@ -19,7 +18,13 @@ from .parallel import (
 from .reporting import format_records, format_table, print_experiment
 from .robustness import FAULT_RATES, FaultedStreamFactory, robustness_records
 from .runner import TrialStats, decision_rate, run_trials
-from .suite import SUITE, Experiment, experiment_checkpoint_key, run_experiment
+from .suite import (
+    SUITE,
+    Experiment,
+    experiment_checkpoint_key,
+    paper_table,
+    run_experiment,
+)
 from .sweeps import (
     SweepPoint,
     SweepResult,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Sequence
 
+from ..core.result import EstimateResult
 from ..streams.models import StreamSource
 
 GuessAlgorithmFactory = Callable[[float, int], Any]  # (t_guess, seed) -> algorithm
@@ -27,12 +28,16 @@ StreamFactory = Callable[[int], StreamSource]
 
 @dataclass
 class GuessOutcome:
-    """The per-guess estimates and the selected answer."""
+    """The per-guess results and the selected answer."""
 
     guesses: List[float]
-    estimates: List[float]
+    results: List[EstimateResult]
     selected_guess: float
     estimate: float
+
+    @property
+    def estimates(self) -> List[float]:
+        return [result.estimate for result in self.results]
 
     def table(self) -> List[Dict[str, float]]:
         return [
@@ -62,11 +67,13 @@ def estimate_with_guesses(
     if not guesses:
         raise ValueError("need at least one guess")
     ordered = sorted(guesses)
-    estimates: List[float] = []
-    for idx, guess in enumerate(ordered):
-        algorithm = algorithm_factory(guess, seed * 1000 + idx)
-        stream = stream_factory(seed * 1000 + 500 + idx)
-        estimates.append(algorithm.run(stream).estimate)
+    results = [
+        algorithm_factory(guess, seed * 1000 + idx).run(
+            stream_factory(seed * 1000 + 500 + idx)
+        )
+        for idx, guess in enumerate(ordered)
+    ]
+    estimates = [result.estimate for result in results]
 
     selected_guess = ordered[0]
     selected_estimate = estimates[0]
@@ -77,7 +84,7 @@ def estimate_with_guesses(
             break
     return GuessOutcome(
         guesses=list(ordered),
-        estimates=estimates,
+        results=results,
         selected_guess=selected_guess,
         estimate=selected_estimate,
     )

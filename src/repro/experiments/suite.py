@@ -1,23 +1,30 @@
-"""Programmatic experiment suite.
+"""Programmatic experiment suite and the measured contributions table.
 
 The full experiments live in ``benchmarks/`` as pytest-benchmark
 targets with assertions; this module provides *light* variants that
 run in seconds from plain Python (or ``python -m repro run-experiment
 E9``) and return the same kind of record tables.  They are the demo /
 smoke tier: smaller workloads, fewer trials, no assertions.
+
+Every (workload, algorithm, stream, knobs) trial cell is defined once,
+in :data:`CELLS`.  Two views read it: the light experiments E1, E5 and
+E8, and :func:`paper_table`, the paper's Section 1.1 contributions table
+with measured columns (``python -m repro paper-table``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs as _obs
 from ..baselines import CormodeJowhariTriangles
 from ..core import (
     FourCycleAdjacencyDiamond,
+    FourCycleArbitraryOnePass,
     FourCycleArbitraryThreePass,
     FourCycleDistinguisher,
+    FourCycleMoment,
     TriangleRandomOrder,
     UsefulAlgorithm,
     bernoulli_vertex_sample,
@@ -28,11 +35,11 @@ from ..lowerbounds import (
     build_two_stars,
     solve_disjointness_with_distinguisher,
 )
-from ..resilience.checkpoint import NULL_CHECKPOINT, CheckpointContext
+from ..resilience.checkpoint import NULL_CHECKPOINT, CheckpointContext, config_hash
 from ..streams import AdjacencyListStream, RandomOrderStream
 from .parallel import SeededFactory
 from .robustness import robustness_records
-from .runner import run_trials
+from .runner import TrialStats, decision_rate, run_trials
 from .workloads import build_workload
 
 Record = Dict[str, Any]
@@ -49,49 +56,137 @@ class Experiment:
     run: ExperimentRunner
 
 
-def _e1_light(
-    seed: int,
-    n_jobs: int = 1,
-    checkpoint: CheckpointContext = NULL_CHECKPOINT,
-) -> List[Record]:
-    workload = build_workload(
-        "heavy-and-light-triangles", n=900, heavy_triangles=200, light_triangles_count=80
-    )
-    truth = workload.triangles
-    rows = []
-    for name, factory in (
-        (
-            "mv-triangle-ro (Thm 2.1)",
-            SeededFactory(TriangleRandomOrder, {"t_guess": truth, "epsilon": 0.3}),
-        ),
-        (
-            "cormode-jowhari",
-            SeededFactory(
-                CormodeJowhariTriangles,
-                {"t_guess": truth, "epsilon": 0.3},
-                seed_param=None,
-            ),
-        ),
-    ):
+@dataclass(frozen=True)
+class Cell:
+    """One measured trial cell: a workload spec, an algorithm, the
+    stream class it reads and its knobs.
 
-        def _measure(_name=name, _factory=factory) -> Record:
-            stats = run_trials(
-                _factory,
-                SeededFactory(RandomOrderStream, {"graph": workload.graph}),
-                truth=truth,
-                trials=5,
-                base_seed=seed,
-                n_jobs=n_jobs,
-            )
-            return {
-                "algorithm": _name,
-                "truth": truth,
+    Every cell runs at the known-T convention: ``t_guess`` is the
+    workload's ``truth`` attribute (``"triangles"`` or
+    ``"four_cycles"``).  ``seed_param=None`` is for algorithms that take
+    no seed (Cormode–Jowhari).
+    """
+
+    family: str
+    params: Dict[str, Any]
+    truth: str
+    algorithm: Callable[..., Any]
+    stream: Callable[..., Any]
+    kwargs: Dict[str, Any] = field(default_factory=dict)
+    seed_param: Optional[str] = "seed"
+
+    def measure(self, trials: int, seed: int, n_jobs: int = 1) -> TrialStats:
+        """Build the workload and run ``trials`` seeded trials on it."""
+        workload = build_workload(self.family, **self.params)
+        truth = getattr(workload, self.truth)
+        return run_trials(
+            SeededFactory(
+                self.algorithm,
+                {"t_guess": truth, **self.kwargs},
+                seed_param=self.seed_param,
+            ),
+            SeededFactory(self.stream, {"graph": workload.graph}),
+            truth=truth,
+            trials=trials,
+            base_seed=seed,
+            n_jobs=n_jobs,
+        )
+
+
+_HEAVY_AND_LIGHT = {"n": 900, "heavy_triangles": 200, "light_triangles_count": 80}
+_DIAMOND_MIXTURE = {
+    "n": 900,
+    "large": (20,) * 4,
+    "medium": (8,) * 8,
+    "small": (3,) * 10,
+    "noise_edges": 200,
+}
+_DENSE = {"n": 45, "p": 0.5}
+_ONE_PASS_KNOBS = {"epsilon": 0.2, "groups": 7, "group_size": 40}
+_SPARSE_FOUR_CYCLES = {"n": 1000, "num_cycles": 150, "noise_edges": 200}
+
+CELLS: Dict[str, Cell] = {
+    "thm2.1": Cell(
+        "heavy-and-light-triangles",
+        _HEAVY_AND_LIGHT,
+        "triangles",
+        TriangleRandomOrder,
+        RandomOrderStream,
+        {"epsilon": 0.3},
+    ),
+    "cormode-jowhari": Cell(
+        "heavy-and-light-triangles",
+        _HEAVY_AND_LIGHT,
+        "triangles",
+        CormodeJowhariTriangles,
+        RandomOrderStream,
+        {"epsilon": 0.3},
+        seed_param=None,
+    ),
+    "thm4.2": Cell(
+        "diamond-mixture",
+        _DIAMOND_MIXTURE,
+        "four_cycles",
+        FourCycleAdjacencyDiamond,
+        AdjacencyListStream,
+        {"epsilon": 0.3},
+    ),
+    "thm4.3a": Cell(
+        "dense-gnp",
+        _DENSE,
+        "four_cycles",
+        FourCycleMoment,
+        AdjacencyListStream,
+        _ONE_PASS_KNOBS,
+    ),
+    "thm5.7": Cell(
+        "dense-gnp",
+        _DENSE,
+        "four_cycles",
+        FourCycleArbitraryOnePass,
+        RandomOrderStream,
+        _ONE_PASS_KNOBS,
+    ),
+    "thm5.3": Cell(
+        "medium-diamonds",
+        {"n": 2000, "diamond_size": 10, "count": 40, "noise_edges": 400},
+        "four_cycles",
+        FourCycleArbitraryThreePass,
+        RandomOrderStream,
+        {"epsilon": 0.3, "eta": 2.0, "c": 0.6, "use_log_factor": False},
+    ),
+}
+
+
+def _cell_experiment(
+    trials: int, rows: Sequence[Tuple[str, str, str]], passes: bool = True
+) -> ExperimentRunner:
+    """A light experiment with one checkpoint unit per
+    ``(unit, algorithm label, cell name)`` row."""
+
+    def run(
+        seed: int,
+        n_jobs: int = 1,
+        checkpoint: CheckpointContext = NULL_CHECKPOINT,
+    ) -> List[Record]:
+        def measure(label: str, cell: str) -> Record:
+            stats = CELLS[cell].measure(trials, seed, n_jobs)
+            record = {
+                "algorithm": label,
+                "truth": stats.truth,
                 "median_estimate": round(stats.median_estimate, 1),
                 "median_rel_err": round(stats.median_relative_error, 4),
             }
+            if passes:
+                record["passes"] = stats.passes
+            return record
 
-        rows.append(checkpoint.unit(f"E1:{name}", _measure))
-    return rows
+        return [
+            checkpoint.unit(unit, lambda label=label, cell=cell: measure(label, cell))
+            for unit, label, cell in rows
+        ]
+
+    return run
 
 
 def _e4_light(
@@ -133,80 +228,12 @@ def _e4_light(
     return rows
 
 
-def _e5_light(
-    seed: int,
-    n_jobs: int = 1,
-    checkpoint: CheckpointContext = NULL_CHECKPOINT,
-) -> List[Record]:
-    workload = build_workload(
-        "diamond-mixture",
-        n=900,
-        large=(20,) * 4,
-        medium=(8,) * 8,
-        small=(3,) * 10,
-        noise_edges=200,
-    )
-    truth = workload.four_cycles
-
-    def _measure() -> Record:
-        stats = run_trials(
-            SeededFactory(FourCycleAdjacencyDiamond, {"t_guess": truth, "epsilon": 0.3}),
-            SeededFactory(AdjacencyListStream, {"graph": workload.graph}),
-            truth=truth,
-            trials=3,
-            base_seed=seed,
-            n_jobs=n_jobs,
-        )
-        return {
-            "algorithm": "diamond (Thm 4.2)",
-            "truth": truth,
-            "median_estimate": round(stats.median_estimate, 1),
-            "median_rel_err": round(stats.median_relative_error, 4),
-            "passes": stats.passes,
-        }
-
-    return [checkpoint.unit("E5:diamond", _measure)]
-
-
-def _e8_light(
-    seed: int,
-    n_jobs: int = 1,
-    checkpoint: CheckpointContext = NULL_CHECKPOINT,
-) -> List[Record]:
-    workload = build_workload(
-        "medium-diamonds", n=2000, diamond_size=10, count=40, noise_edges=400
-    )
-    truth = workload.four_cycles
-
-    def _measure() -> Record:
-        stats = run_trials(
-            SeededFactory(
-                FourCycleArbitraryThreePass,
-                dict(t_guess=truth, epsilon=0.3, eta=2.0, c=0.6, use_log_factor=False),
-            ),
-            SeededFactory(RandomOrderStream, {"graph": workload.graph}),
-            truth=truth,
-            trials=3,
-            base_seed=seed,
-            n_jobs=n_jobs,
-        )
-        return {
-            "algorithm": "three-pass (Thm 5.3)",
-            "truth": truth,
-            "median_estimate": round(stats.median_estimate, 1),
-            "median_rel_err": round(stats.median_relative_error, 4),
-            "passes": stats.passes,
-        }
-
-    return [checkpoint.unit("E8:three-pass", _measure)]
-
-
 def _e9_light(
     seed: int,
     n_jobs: int = 1,
     checkpoint: CheckpointContext = NULL_CHECKPOINT,
 ) -> List[Record]:
-    yes = build_workload("sparse-four-cycles", n=1000, num_cycles=150, noise_edges=200)
+    yes = build_workload("sparse-four-cycles", **_SPARSE_FOUR_CYCLES)
     no = build_workload("four-cycle-free", n_triangles=300)
     rows = []
     for label, workload in (("T cycles", yes), ("cycle-free", no)):
@@ -300,10 +327,33 @@ def _e16_light(
 SUITE: Dict[str, Experiment] = {
     experiment.id: experiment
     for experiment in (
-        Experiment("E1", "Thm 2.1 vs CJ on a heavy-edge workload (light)", _e1_light),
+        Experiment(
+            "E1",
+            "Thm 2.1 vs CJ on a heavy-edge workload (light)",
+            _cell_experiment(
+                5,
+                (
+                    (
+                        "E1:mv-triangle-ro (Thm 2.1)",
+                        "mv-triangle-ro (Thm 2.1)",
+                        "thm2.1",
+                    ),
+                    ("E1:cormode-jowhari", "cormode-jowhari", "cormode-jowhari"),
+                ),
+                passes=False,
+            ),
+        ),
         Experiment("E4", "Lemma 3.1 Useful Algorithm (light)", _e4_light),
-        Experiment("E5", "Thm 4.2 diamond algorithm (light)", _e5_light),
-        Experiment("E8", "Thm 5.3 three-pass algorithm (light)", _e8_light),
+        Experiment(
+            "E5",
+            "Thm 4.2 diamond algorithm (light)",
+            _cell_experiment(3, (("E5:diamond", "diamond (Thm 4.2)", "thm4.2"),)),
+        ),
+        Experiment(
+            "E8",
+            "Thm 5.3 three-pass algorithm (light)",
+            _cell_experiment(3, (("E8:three-pass", "three-pass (Thm 5.3)", "thm5.3"),)),
+        ),
         Experiment("E9", "Thm 5.6 distinguisher (light)", _e9_light),
         Experiment("E11", "Thm 5.8 DISJ reduction (light)", _e11_light),
         Experiment("E12", "Lemma 5.1 exact check (light)", _e12_light),
@@ -314,8 +364,6 @@ SUITE: Dict[str, Experiment] = {
 
 def experiment_checkpoint_key(experiment_id: str, seed: int) -> str:
     """The config hash guarding an experiment's checkpoint file."""
-    from ..resilience.checkpoint import config_hash
-
     return config_hash(
         {"kind": "run-experiment", "experiment": experiment_id.upper(), "seed": seed}
     )
@@ -368,3 +416,79 @@ def run_experiment(
             payload["checkpoint"] = lineage
         telemetry.record_run(f"experiment:{key}", payload)
     return records
+
+
+_DENSE_PROBLEM = "four-cycles (T=Ω(n²))"
+
+#: The contributions-table rows measured on a trial cell, in table order:
+#: (checkpoint unit, result, cell, problem, model, space bound).
+PAPER_ROWS = (
+    ("Thm2.1", "Thm 2.1", "thm2.1", "triangles", "random", "Õ(ε⁻²m/√T)"),
+    ("Thm4.2", "Thm 4.2", "thm4.2", "four-cycles", "adjacency", "Õ(ε⁻⁵m/√T)"),
+    ("Thm 4.3a", "Thm 4.3a", "thm4.3a", _DENSE_PROBLEM, "adjacency", "Õ(ε⁻⁴n⁴/T²)"),
+    ("Thm 5.7", "Thm 5.7", "thm5.7", _DENSE_PROBLEM, "arbitrary", "Õ(ε⁻²n)"),
+    ("Thm5.3", "Thm 5.3", "thm5.3", "four-cycles", "arbitrary", "Õ(m/T^{1/4})"),
+)
+
+
+def paper_table_checkpoint_key(seed: int, trials: int) -> str:
+    """The config hash guarding a paper-table checkpoint file."""
+    return config_hash({"kind": "paper-table", "seed": seed, "trials": trials})
+
+
+def paper_table(
+    seed: int = 0,
+    trials: int = 3,
+    checkpoint: Optional[CheckpointContext] = None,
+) -> List[Record]:
+    """The Section 1.1 contributions table, with measured columns.
+
+    Each (model, passes, space) row of the paper's headline table gains
+    the median relative error and median space in words measured on its
+    trial cell, plus Thm 5.6's distinguisher miss rate.  Takes about
+    1.5 s at ``trials=1``.
+
+    Each row is one checkpoint unit, so a resumed run restarts at the
+    first missing row and reproduces the rest byte-identically (every
+    row is a pure function of the seed).
+    """
+    if checkpoint is None:
+        checkpoint = NULL_CHECKPOINT
+
+    def measure(result: str, cell: str, problem: str, model: str, space: str) -> Record:
+        stats = CELLS[cell].measure(trials, seed)
+        return {
+            "result": result,
+            "problem": problem,
+            "model": model,
+            "passes": stats.passes,
+            "space": space,
+            "measured_rel_err": round(stats.median_relative_error, 3),
+            "measured_space": int(stats.median_space),
+        }
+
+    def distinguisher() -> Record:
+        workload = build_workload("sparse-four-cycles", **_SPARSE_FOUR_CYCLES)
+        rate = decision_rate(
+            lambda s: FourCycleDistinguisher(
+                t_guess=workload.four_cycles, c=3.0, seed=s
+            ).decide(RandomOrderStream(workload.graph, seed=s)),
+            trials=max(trials, 5),
+            base_seed=seed,
+        )
+        return {
+            "result": "Thm 5.6",
+            "problem": "0 vs T four-cycles",
+            "model": "arbitrary",
+            "passes": 2,
+            "space": "Õ(m^{3/2}/T^{3/4})",
+            "measured_rel_err": round(1.0 - rate, 3),  # miss rate
+            "measured_space": "-",
+        }
+
+    rows = [
+        checkpoint.unit(f"paper-table:{unit}", lambda row=row: measure(*row))
+        for unit, *row in PAPER_ROWS
+    ]
+    rows.append(checkpoint.unit("paper-table:Thm5.6", distinguisher))
+    return rows

@@ -17,7 +17,6 @@ from .hashing import (
     stable_key_array,
 )
 from .l2_sampler import L2Sampler, L2SamplerBank
-from .misra_gries import MisraGries
 from .reservoir import ReservoirSampler, UniformItemSampler
 from .wedge_f2 import WedgeF2Estimator
 
@@ -31,7 +30,6 @@ __all__ = [
     "CountSketch",
     "L2Sampler",
     "L2SamplerBank",
-    "MisraGries",
     "ReservoirSampler",
     "UniformItemSampler",
     "WedgeF2Estimator",

@@ -47,7 +47,7 @@ from .stats import (
     variance_ratio_bounds,
     wilson_interval,
 )
-from .variance import VarianceModel, VarianceReport, check_variance
+from .variance import VarianceReport, check_variance, check_variance_all
 from .report import certificates_to_json, render_certificates, render_variance
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "PLANS",
     "SeedCollision",
     "SeedProbe",
-    "VarianceModel",
     "VarianceReport",
     "audit_seeds",
     "certificates_to_json",
@@ -68,6 +67,7 @@ __all__ = [
     "certify_checkpoint_key",
     "chebyshev_slack",
     "check_variance",
+    "check_variance_all",
     "clopper_pearson_interval",
     "default_probes",
     "inverse_normal_cdf",

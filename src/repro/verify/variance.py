@@ -39,20 +39,12 @@ from ..seeding import derive_seed
 from .certify import PAPER_DELTA, PAPER_EPSILON, PLANS
 from .stats import variance_ratio_bounds
 
-__all__ = ["VarianceModel", "VarianceReport", "check_variance", "check_variance_all"]
+__all__ = ["VarianceReport", "check_variance", "check_variance_all"]
 
 #: Widening factor on the chi-square band: our trial estimates are sums
 #: of Bernoullis, whose kurtosis at moderate p inflates the variance of
 #: the sample variance beyond the normal-theory chi-square.
 CHI_SQUARE_WIDEN = 1.8
-
-
-@dataclass(frozen=True)
-class VarianceModel:
-    """How a plan's theoretical variance is to be compared."""
-
-    kind: str  # "exact" | "upper-bound" | "implied"
-    slack: float = 1.0
 
 
 @dataclass

@@ -50,11 +50,45 @@ class TestLightRuns:
         assert len(records) == 2
         mv = next(r for r in records if "Thm 2.1" in r["algorithm"])
         assert mv["median_rel_err"] < 0.5
+        # pinned: E1 reads the thm2.1 and cormode-jowhari cells
+        assert records == [
+            {
+                "algorithm": "mv-triangle-ro (Thm 2.1)",
+                "truth": 280,
+                "median_estimate": 258.5,
+                "median_rel_err": 0.0767,
+            },
+            {
+                "algorithm": "cormode-jowhari",
+                "truth": 280,
+                "median_estimate": 146.2,
+                "median_rel_err": 0.4777,
+            },
+        ]
 
     def test_e5_and_e8_run(self):
         for exp_id in ("E5", "E8"):
             records = run_experiment(exp_id, seed=1)
             assert records[0]["median_rel_err"] < 0.5
+        # pinned: E5 and E8 read the thm4.2 and thm5.3 cells
+        assert run_experiment("E5", seed=1) == [
+            {
+                "algorithm": "diamond (Thm 4.2)",
+                "truth": 1014,
+                "median_estimate": 1014.0,
+                "median_rel_err": 0.0,
+                "passes": 2,
+            }
+        ]
+        assert run_experiment("E8", seed=1) == [
+            {
+                "algorithm": "three-pass (Thm 5.3)",
+                "truth": 1802,
+                "median_estimate": 1802.0,
+                "median_rel_err": 0.0,
+                "passes": 3,
+            }
+        ]
 
 
 class TestPaperTable:
@@ -67,3 +101,45 @@ class TestPaperTable:
         for row in rows:
             assert row["passes"] in (1, 2, 3)
             assert isinstance(row["measured_rel_err"], float)
+        # pinned: (result, problem, model, passes, space bound, error, space)
+        assert [tuple(row.values()) for row in rows] == [
+            ("Thm 2.1", "triangles", "random", 1, "Õ(ε⁻²m/√T)", 0.077, 2107),
+            ("Thm 4.2", "four-cycles", "adjacency", 2, "Õ(ε⁻⁵m/√T)", 0.0, 105793),
+            (
+                "Thm 4.3a",
+                "four-cycles (T=Ω(n²))",
+                "adjacency",
+                1,
+                "Õ(ε⁻⁴n⁴/T²)",
+                0.195,
+                315,
+            ),
+            (
+                "Thm 5.7",
+                "four-cycles (T=Ω(n²))",
+                "arbitrary",
+                1,
+                "Õ(ε⁻²n)",
+                0.033,
+                38387,
+            ),
+            ("Thm 5.3", "four-cycles", "arbitrary", 3, "Õ(m/T^{1/4})", 0.0, 13255),
+            (
+                "Thm 5.6",
+                "0 vs T four-cycles",
+                "arbitrary",
+                2,
+                "Õ(m^{3/2}/T^{3/4})",
+                0.0,
+                "-",
+            ),
+        ]
+        assert list(rows[0]) == [
+            "result",
+            "problem",
+            "model",
+            "passes",
+            "space",
+            "measured_rel_err",
+            "measured_space",
+        ]

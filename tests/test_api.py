@@ -107,6 +107,12 @@ class TestEstimate:
         assert "guess_table" in result.details
         assert abs(result.estimate - truth) / truth < 0.7
 
+    def test_auto_calibration_applies_boost(self):
+        graph = planted_triangles(200, 30, extra_edges=100, seed=1)
+        result = api.estimate(graph, epsilon=0.3, seed=1, boost_copies=3)
+        categories = result.space.breakdown()
+        assert any(name.startswith("guess0_copy2_") for name in categories)
+
 
 class TestEstimateTransitivity:
     def test_matches_exact_on_clean_graph(self):
@@ -137,6 +143,24 @@ class TestEstimateFourCyclesAuto:
         )
         assert abs(result.estimate - truth) / truth < 0.7
         assert result.details["selected_guess"] >= 1
+
+    def test_auto_threepass_reports_passes_and_summed_space(self):
+        """The guess instances run side by side: the auto-T result takes
+        their pass count and charges the sum of their peaks."""
+        from repro.experiments import build_workload, guess_schedule
+
+        graph = build_workload(
+            "medium-diamonds", n=600, diamond_size=8, count=10, noise_edges=0
+        ).graph
+        result = api.estimate(graph, problem="four-cycles", model="arbitrary", seed=3)
+        guess_peaks = [
+            api.make_counter("four-cycles", "arbitrary", t_guess=guess, seed=3000 + i)
+            .run(api.stream_for(graph, "arbitrary", seed=3500 + i))
+            .space_items
+            for i, guess in enumerate(guess_schedule(graph.num_edges))
+        ]
+        assert result.passes == 3
+        assert result.space_items == sum(guess_peaks) > 0
 
     def test_transitivity_unknown_t(self):
         from repro.graphs import global_clustering_coefficient, planted_triangles

@@ -127,6 +127,11 @@ class TestRunExperimentCommand:
         with pytest.raises(KeyError):
             main(["run-experiment", "E99"])
 
+    def test_resume_requires_checkpoint(self, capsys):
+        with pytest.raises(SystemExit, match="--resume requires --checkpoint PATH"):
+            main(["run-experiment", "E12", "--resume"])
+        assert capsys.readouterr().out == ""
+
 
 class TestEstimateFourCycles:
     def test_adjacency_model_dispatch(self, tmp_path, capsys):
