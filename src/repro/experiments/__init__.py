@@ -1,4 +1,4 @@
-"""Experiment harness: workloads, trial runner, sweeps, reporting."""
+"""Experiment harness: workloads, trial runner, scaling fits, reporting."""
 
 from .calibration import GuessOutcome, estimate_with_guesses
 from .export import export_csv, export_json, load_json
@@ -6,10 +6,8 @@ from .frontier import Frontier, FrontierPoint, dominates, measure_frontier
 from .groundtruth import cache_info, cached_ground_truth, clear_cache
 from .parallel import (
     ParallelTrialRunner,
-    RetryPolicy,
     SeededFactory,
     TrialSpec,
-    derive_retry_seed,
     execute_trial,
     parallel_map,
     resolve_n_jobs,
@@ -25,14 +23,7 @@ from .suite import (
     paper_table,
     run_experiment,
 )
-from .sweeps import (
-    SweepPoint,
-    SweepResult,
-    geometric_range,
-    guess_schedule,
-    loglog_slope,
-    run_sweep,
-)
+from .sweeps import guess_schedule, loglog_slope
 from .workloads import ALL_WORKLOADS, Workload, build_workload
 
 __all__ = [
@@ -42,10 +33,8 @@ __all__ = [
     "TrialStats",
     "run_trials",
     "ParallelTrialRunner",
-    "RetryPolicy",
     "SeededFactory",
     "TrialSpec",
-    "derive_retry_seed",
     "execute_trial",
     "parallel_map",
     "resolve_n_jobs",
@@ -61,11 +50,7 @@ __all__ = [
     "Experiment",
     "run_experiment",
     "decision_rate",
-    "SweepPoint",
-    "SweepResult",
-    "run_sweep",
     "loglog_slope",
-    "geometric_range",
     "guess_schedule",
     "GuessOutcome",
     "estimate_with_guesses",

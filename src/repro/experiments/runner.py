@@ -16,7 +16,7 @@ from ..core.result import EstimateResult
 from .. import obs as _obs
 from ..sketches.estimators import median
 from ..streams.models import StreamSource
-from .parallel import ParallelTrialRunner, RetryPolicy, SeededFactory
+from .parallel import ParallelTrialRunner, SeededFactory
 
 AlgorithmFactory = Callable[[int], Any]  # seed -> algorithm with .run()
 StreamFactory = Callable[[int], StreamSource]  # seed -> fresh stream
@@ -32,9 +32,8 @@ class TrialStats:
     passes: int
     results: List[EstimateResult] = field(repr=False, default_factory=list)
     wall_seconds: List[float] = field(repr=False, default_factory=list)
-    #: trial index -> anomaly notes (retries with their derived seeds,
-    #: timeout overruns, space-budget flags, crash recoveries); empty
-    #: for a fault-free run.
+    #: trial index -> anomaly notes (in-process re-executions after a
+    #: worker crash); empty for a fault-free run.
     anomalies: Dict[int, List[str]] = field(repr=False, default_factory=dict)
 
     @property
@@ -106,7 +105,6 @@ def run_trials(
     trials: int = 9,
     base_seed: int = 0,
     n_jobs: int = 1,
-    retry: "RetryPolicy" = None,
 ) -> TrialStats:
     """Run ``trials`` independent (algorithm, stream) pairs.
 
@@ -118,17 +116,13 @@ def run_trials(
     ``None`` = all cores).  Every trial is a pure function of its seeds,
     so the stats are bit-identical for any ``n_jobs``; non-picklable
     factories (lambdas) degrade to in-process execution with a warning.
-
-    ``retry`` sets timeouts, bounded retries with derived seeds and
-    space-budget flagging (see
-    :class:`~repro.experiments.parallel.RetryPolicy`); worker crashes
-    are recovered under any policy.  Trials that needed intervention
-    land in :attr:`TrialStats.anomalies`.
+    A worker crash is recovered by re-executing the lost trials
+    in-process; they land in :attr:`TrialStats.anomalies`.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     telemetry = _obs.current()
-    runner = ParallelTrialRunner(n_jobs=n_jobs, retry=retry)
+    runner = ParallelTrialRunner(n_jobs=n_jobs)
     with telemetry.tracer.span(
         "run_trials", kind="runner", trials=trials, base_seed=base_seed
     ):
@@ -148,15 +142,9 @@ def run_trials(
         for i, result in enumerate(results)
         if result.details.get("anomalies")
     }
-    # Budget-aborted partials legitimately stopped early; exclude them
-    # from the pass-consistency invariant instead of calling the
-    # algorithm buggy for a fault the harness injected.
-    countable = [r for r in results if not r.details.get("partial")]
-    pass_counts = {result.passes for result in countable} or {0}
+    pass_counts = {result.passes for result in results}
     if len(pass_counts) != 1:
-        majority = max(
-            pass_counts, key=lambda p: sum(r.passes == p for r in countable)
-        )
+        majority = max(pass_counts, key=lambda p: sum(r.passes == p for r in results))
         offenders = [i for i, r in enumerate(results) if r.passes != majority]
         raise RuntimeError(
             "trials disagree on the number of stream passes "

@@ -4,7 +4,7 @@ A :class:`MetricsRegistry` is a flat, name-keyed collection of three
 instrument kinds:
 
 * **counter** — a monotonically increasing integer (passes, edges
-  consumed, retries, ...);
+  consumed, worker crashes, ...);
 * **gauge** — a last-write-wins scalar (variance ratios, ...);
 * **histogram** — a mergeable summary (count / sum / min / max) of a
   sequence of observations (per-trial space, and every scalar

@@ -31,7 +31,7 @@ from .trace import NULL_TRACER, NullTracer, Tracer
 
 @dataclass
 class TrialTelemetry:
-    """A picklable per-trial (or per-sweep-point) telemetry capture."""
+    """A picklable per-trial telemetry capture."""
 
     index: int
     spans: List[Dict[str, Any]] = field(default_factory=list)

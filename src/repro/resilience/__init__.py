@@ -6,10 +6,10 @@ real runs actually hit:
 * corrupted input streams — :class:`FaultPlan` / :class:`FaultyStream`
   inject seeded faults, :class:`~repro.streams.validation.ValidatedStream`
   applies the ``strict`` / ``repair`` / ``skip`` policies;
-* dying workers and runaway trials — the
-  :class:`~repro.experiments.parallel.ParallelTrialRunner` (retry,
-  timeout, crash recovery) lives in :mod:`repro.experiments.parallel`
-  and raises the error types defined here;
+* dying workers — the
+  :class:`~repro.experiments.parallel.ParallelTrialRunner` in
+  :mod:`repro.experiments.parallel` re-executes in-process the trials
+  a worker crash lost;
 * interrupted sweeps — :func:`config_hash` / :class:`Checkpoint` /
   :class:`CheckpointContext` persist completed work units atomically so
   ``--resume`` replays them byte-identically;
@@ -35,14 +35,8 @@ from .checkpoint import (
     Checkpoint,
     CheckpointContext,
     config_hash,
-    is_missing,
 )
-from .errors import (
-    CheckpointMismatchError,
-    SpaceBudgetExceeded,
-    TrialRetryError,
-    TrialTimeoutError,
-)
+from .errors import CheckpointMismatchError
 from .faults import FaultPlan, FaultyStream
 
 __all__ = [
@@ -58,11 +52,7 @@ __all__ = [
     "Checkpoint",
     "CheckpointContext",
     "config_hash",
-    "is_missing",
     "CheckpointMismatchError",
-    "SpaceBudgetExceeded",
-    "TrialRetryError",
-    "TrialTimeoutError",
     "FaultPlan",
     "FaultyStream",
 ]

@@ -2,7 +2,7 @@
 
 Long Monte-Carlo sweeps die mid-run — OOM kills, preemptions, ^C — and
 without checkpoints everything already computed is lost.  This module
-gives the experiment suite, ``paper-table`` and ``run_sweep`` a shared,
+gives the experiment suite, ``paper-table`` and ``verify`` a shared,
 minimal persistence layer:
 
 * a **checkpoint file** is JSON lines: a header record carrying a
@@ -38,8 +38,6 @@ from .errors import CheckpointMismatchError
 PathLike = Union[str, Path]
 
 CHECKPOINT_VERSION = 1
-
-_MISSING = object()
 
 
 def config_hash(config: Any) -> str:
@@ -146,10 +144,10 @@ class CheckpointContext:
     """What experiment code consumes: ``ctx.unit(name, thunk)``.
 
     With no checkpoint attached (the default), ``unit`` just runs the
-    thunk — zero overhead, no behavior change.  With a checkpoint, a
-    completed unit is served from the file (counted as a hit, metric
-    ``checkpoint.units_cached``) and a fresh unit is executed then
-    persisted (metric ``checkpoint.units_run``).
+    thunk — zero overhead, no behavior change, nothing counted.  With a
+    checkpoint, a completed unit is served from the file (counted as a
+    hit, metric ``checkpoint.units_cached``) and a fresh unit is executed
+    then persisted (counted as a miss, metric ``checkpoint.units_run``).
     """
 
     def __init__(self, checkpoint: Optional[Checkpoint] = None) -> None:
@@ -161,28 +159,19 @@ class CheckpointContext:
     def active(self) -> bool:
         return self.checkpoint is not None
 
-    def lookup(self, name: str) -> Any:
-        """The cached payload for ``name``, or the module sentinel."""
-        if self.checkpoint is not None and name in self.checkpoint:
-            return self.checkpoint.get(name)
-        return _MISSING
-
-    def store(self, name: str, payload: Any) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint.record(name, payload)
-
     def unit(self, name: str, thunk: Callable[[], Any]) -> Any:
         """Run (or recall) one named unit of work."""
-        cached = self.lookup(name)
-        if cached is not _MISSING:
+        checkpoint = self.checkpoint
+        if checkpoint is None:
+            return thunk()
+        if name in checkpoint:
             self.hits += 1
             _obs.current().metrics.inc("checkpoint.units_cached")
-            return cached
+            return checkpoint.get(name)
         value = thunk()
-        self.store(name, value)
+        checkpoint.record(name, value)
         self.misses += 1
-        if self.checkpoint is not None:
-            _obs.current().metrics.inc("checkpoint.units_run")
+        _obs.current().metrics.inc("checkpoint.units_run")
         return value
 
     def lineage(self) -> Optional[Dict[str, Any]]:
@@ -197,7 +186,3 @@ class CheckpointContext:
 #: Shared inactive context: ``unit`` runs every thunk directly.
 NULL_CHECKPOINT = CheckpointContext(None)
 
-
-def is_missing(value: Any) -> bool:
-    """True when :meth:`CheckpointContext.lookup` found nothing."""
-    return value is _MISSING

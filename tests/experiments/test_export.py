@@ -26,7 +26,8 @@ class TestExportCsv:
     def test_header_order(self, tmp_path):
         path = tmp_path / "out.csv"
         export_csv(RECORDS, path)
-        header = open(path).readline().strip().split(",")
+        with open(path) as handle:
+            header = handle.readline().strip().split(",")
         assert header[:3] == ["algorithm", "rel_err", "space"]
         assert "note" in header
 
@@ -41,7 +42,8 @@ class TestExportJson:
         export_json(RECORDS, path, metadata={"experiment": "E1"})
         records = load_json(path)
         assert records == RECORDS
-        document = json.loads(open(path).read())
+        with open(path) as handle:
+            document = json.load(handle)
         assert document["metadata"]["experiment"] == "E1"
 
     def test_numpy_scalars_serialized(self, tmp_path):

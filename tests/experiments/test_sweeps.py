@@ -1,10 +1,8 @@
-"""Sweeps and scaling-law fits."""
-
-import math
+"""Scaling-law fits and the T-guess schedule."""
 
 import pytest
 
-from repro.experiments import geometric_range, guess_schedule, loglog_slope, run_sweep
+from repro.experiments import guess_schedule, loglog_slope
 
 
 class TestLogLogSlope:
@@ -27,33 +25,6 @@ class TestLogLogSlope:
             loglog_slope([0, 1], [1, 1])
         with pytest.raises(ValueError):
             loglog_slope([1, 1], [1, 2])
-
-
-class TestGeometricRange:
-    def test_endpoints(self):
-        values = geometric_range(10, 1000, 3)
-        assert values[0] == pytest.approx(10)
-        assert values[-1] == pytest.approx(1000)
-        assert values[1] == pytest.approx(100)
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            geometric_range(1, 10, 1)
-        with pytest.raises(ValueError):
-            geometric_range(0, 10, 3)
-
-
-class TestRunSweep:
-    def test_collects_points(self):
-        result = run_sweep("t", [1, 4, 16], lambda t: {"space": 100 / math.sqrt(t)})
-        assert [p.parameter for p in result.points] == [1, 4, 16]
-        assert result.slope("space") == pytest.approx(-0.5)
-
-    def test_series(self):
-        result = run_sweep("t", [1, 2], lambda t: {"y": 2 * t})
-        xs, ys = result.series("y")
-        assert xs == [1, 2]
-        assert ys == [2, 4]
 
 
 class TestGuessSchedule:

@@ -1,5 +1,6 @@
-"""One trial-execution path: the default policy runs the same loop as
-an armed one, and the seed schedule never hands out a seed twice."""
+"""One trial-execution path: a trial's own exception reaches the
+caller unchanged, a worker crash is recovered, and the seed schedule
+never hands out a seed twice."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import os
 import pytest
 
 from repro.core import EstimateResult
-from repro.experiments import ParallelTrialRunner, RetryPolicy, seed_schedule
+from repro.experiments import ParallelTrialRunner, seed_schedule
 from repro.streams.meter import SpaceMeter
 
 
@@ -70,17 +71,13 @@ class TestDefaultPolicy:
             )
         assert any(e["kind"] == "worker_crash" for e in runner.last_events)
 
-    @pytest.mark.parametrize(
-        "n_jobs, policy",
-        [(1, RetryPolicy()), (2, RetryPolicy()), (2, RetryPolicy(timeout_seconds=60.0))],
-        ids=["in-process", "pool", "pool-timeout-only"],
-    )
-    def test_trial_exception_reaches_caller_unchanged(self, n_jobs, policy):
-        runner = ParallelTrialRunner(n_jobs=n_jobs, retry=policy)
+    @pytest.mark.parametrize("n_jobs", [1, 2], ids=["in-process", "pool"])
+    def test_trial_exception_reaches_caller_unchanged(self, n_jobs):
+        runner = ParallelTrialRunner(n_jobs=n_jobs)
         with pytest.raises(_OwnError, match="trial failure at seed 0$"):
             runner.run(_Raises, _no_stream, trials=2, base_seed=0)
 
     def test_trial_timeout_error_is_not_a_runner_timeout(self):
-        runner = ParallelTrialRunner(n_jobs=1, retry=RetryPolicy(timeout_seconds=60.0))
+        runner = ParallelTrialRunner(n_jobs=1)
         with pytest.raises(TimeoutError, match="trial's own timeout at seed 0$"):
             runner.run(_RaisesTimeout, _no_stream, trials=2, base_seed=0)

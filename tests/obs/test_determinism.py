@@ -98,25 +98,3 @@ class TestSerialParallelTelemetry:
         assert all(result.telemetry is None for result in stats.results)
         assert not obs.current().enabled
 
-
-class TestSweepTelemetry:
-    def test_sweep_points_captured_identically(self):
-        from repro.experiments.sweeps import run_sweep
-
-        def measure(value):
-            return {"y": value * 2}
-
-        def run(n_jobs):
-            with obs.session(collect_env=False) as telemetry:
-                result = run_sweep("T", [1.0, 2.0, 3.0], measure, n_jobs=n_jobs)
-                return result, telemetry.metrics.snapshot(), [
-                    s["path"] for s in telemetry.tracer.records
-                ]
-
-        serial_result, serial_metrics, serial_paths = run(1)
-        # measure is a local closure -> parallel falls back to serial
-        # in-process execution, which must still capture identically.
-        assert serial_metrics == {"counters": {}, "gauges": {}, "histograms": {}}
-        assert "sweep:T/point[0]" in serial_paths
-        assert "sweep:T" in serial_paths
-        assert [p.outputs["y"] for p in serial_result.points] == [2.0, 4.0, 6.0]

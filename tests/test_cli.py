@@ -160,6 +160,20 @@ class TestEstimateFourCycles:
         assert "four-cycles" in output
         assert "adjacency" in output
 
+    def test_jobs_do_not_change_output(self, tmp_path, capsys):
+        from repro.graphs import planted_diamonds, write_edge_list
+
+        path = tmp_path / "diamonds.txt"
+        write_edge_list(planted_diamonds(120, [6, 4, 3], seed=1), path)
+        outputs = []
+        for jobs in ("1", "2"):
+            argv = ["estimate", str(path), "--problem", "four-cycles"]
+            argv += ["--model", "adjacency", "--t-guess", "24", "--trials", "3"]
+            assert main(argv + ["--compare-exact", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "four-cycles" in outputs[0]
+
     def test_compare_exact_counts_once(self, edge_file, monkeypatch, capsys):
         import repro.cli
 
