@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain pytest underneath.
 
-.PHONY: install test bench bench-smoke bench-tables examples verify-smoke all
+.PHONY: install test bench-smoke bench-tables examples verify-smoke all
 
 install:
 	pip install -e '.[test]' --no-build-isolation || \
@@ -9,16 +9,15 @@ install:
 test:
 	pytest tests/
 
-bench:
-	pytest benchmarks/ --benchmark-only
-
 # Quick sanity pass of the perf-engine benchmark: small sizes, relaxed
-# speedup floor, no pytest-benchmark storage, baseline left untouched.
+# speedup floor, baseline left untouched.
 bench-smoke:
-	REPRO_BENCH_QUICK=1 pytest benchmarks/bench_perf_engine.py -s --benchmark-disable
+	REPRO_BENCH_QUICK=1 pytest benchmarks/bench_perf_engine.py -s
 
+# The experiment tables and their claims.  Deselecting the `bench`
+# marker keeps bench_perf_engine.py from rewriting BENCH_engine.json.
 bench-tables:
-	pytest benchmarks/ -s --benchmark-disable
+	pytest benchmarks/ -m "not bench" -s
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f; done
@@ -31,4 +30,4 @@ verify-smoke:
 	  --algorithm mvv-twopass-triangles --budget-from-paper --quick \
 	  --batch 25 --max-trials 50
 
-all: test bench-tables bench
+all: test bench-tables

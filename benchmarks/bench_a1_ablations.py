@@ -123,16 +123,3 @@ def test_ablation_eta_threshold():
     # eta=0.5 marks the big diamond's edges heavy; its multi-heavy
     # cycles are dropped, leaving ~ the planted remainder
     assert tiny_eta < 0.25 * truth
-
-
-@pytest.mark.benchmark(group="a1")
-def test_a1_timing(benchmark):
-    graph = heavy_edge_graph(1500, heavy_triangles=400, light_triangles=150, seed=1)
-    truth = triangle_count(graph)
-
-    def run_once():
-        return TriangleRandomOrder(
-            t_guess=truth, epsilon=0.3, seed=1, disable_heavy_path=True
-        ).run(RandomOrderStream(graph, seed=1)).estimate
-
-    assert benchmark.pedantic(run_once, rounds=3, iterations=1) >= 0

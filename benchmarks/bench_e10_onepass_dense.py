@@ -6,8 +6,11 @@ dynamic (insert/delete) extension the paper notes.
 import pytest
 
 from repro.core import FourCycleArbitraryOnePass
-from repro.experiments import format_records, print_experiment, run_trials
+from repro.experiments import format_records, print_experiment
+from repro.experiments.suite import Cell
 from repro.streams import ArbitraryOrderStream, RandomOrderStream
+
+from conftest import DENSE
 
 LAYOUT = dict(groups=7, group_size=40)
 TRIALS = 5
@@ -17,14 +20,13 @@ def test_e10_accuracy(dense_workload):
     workload = dense_workload
     truth = workload.four_cycles
     assert truth > workload.n**2
-    stats = run_trials(
-        lambda seed: FourCycleArbitraryOnePass(
-            t_guess=truth, epsilon=0.2, seed=seed, **LAYOUT
-        ),
-        lambda seed: RandomOrderStream(workload.graph, seed=seed),
-        truth=truth,
-        trials=TRIALS,
-    )
+    stats = Cell(
+        *DENSE,
+        "four_cycles",
+        FourCycleArbitraryOnePass,
+        RandomOrderStream,
+        {"epsilon": 0.2, **LAYOUT},
+    ).measure(TRIALS, 0)
     rows = [
         {
             "workload": workload.name,
@@ -75,15 +77,3 @@ def test_e10_dynamic_updates(dense_workload):
     ]
     print_experiment("E10 (dynamic setting)", format_records(rows))
     assert dynamic == pytest.approx(static.estimate, rel=1e-6)
-
-
-@pytest.mark.benchmark(group="e10")
-def test_e10_timing(benchmark, dense_workload):
-    workload = dense_workload
-
-    def run_once():
-        return FourCycleArbitraryOnePass(
-            t_guess=workload.four_cycles, epsilon=0.2, seed=1, **LAYOUT
-        ).run(RandomOrderStream(workload.graph, seed=1)).estimate
-
-    assert benchmark.pedantic(run_once, rounds=1, iterations=1) >= 0

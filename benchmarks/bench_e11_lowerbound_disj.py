@@ -10,8 +10,6 @@ Claims under test:
   the group size k shrinks — the Omega(m / sqrt(T)) tradeoff.
 """
 
-import pytest
-
 from repro.core import FourCycleDistinguisher
 from repro.experiments import format_records, print_experiment
 from repro.graphs import four_cycle_count
@@ -102,21 +100,3 @@ def test_e11_communication_grows_as_k_shrinks():
     print_experiment("E11 (communication vs k, fixed n)", format_records(rows))
     # smaller k => smaller T => more space needed (Omega(n / k))
     assert spaces[-1] > spaces[0]
-
-
-@pytest.mark.benchmark(group="e11")
-def test_e11_timing(benchmark):
-    instance = DisjointnessInstance.random_with_answer(STRING_LENGTH, 1, seed=1)
-
-    def run_once():
-        decided, _ = solve_disjointness_with_distinguisher(
-            instance,
-            k=12,
-            distinguisher_factory=lambda t: FourCycleDistinguisher(
-                t_guess=t, c=3.0, seed=4
-            ),
-            seed=2,
-        )
-        return decided
-
-    assert benchmark.pedantic(run_once, rounds=3, iterations=1) in (0, 1)

@@ -61,14 +61,3 @@ def test_e12_report():
                 }
             )
     print_experiment("E12 (Lemma 5.1)", format_records(rows))
-
-
-@pytest.mark.benchmark(group="e12")
-def test_e12_timing(benchmark):
-    graph = WORKLOADS["diamond-mixture"]()
-
-    def run_once():
-        return _cycles_with_at_most_one_bad_edge(graph, 8.0)
-
-    good, total = benchmark.pedantic(run_once, rounds=1, iterations=1)
-    assert 0 <= good <= total

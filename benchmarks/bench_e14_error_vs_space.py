@@ -9,8 +9,6 @@ prefix-sampling baseline across the shared budget range, with the gap
 widening at small budgets where heavy-edge handling matters most.
 """
 
-import pytest
-
 from repro.baselines import CormodeJowhariTriangles, TriestImpr
 from repro.core import TriangleRandomOrder
 from repro.experiments import format_records, print_experiment
@@ -18,7 +16,9 @@ from repro.experiments.frontier import measure_frontier
 from repro.streams import RandomOrderStream
 
 EPS = 0.3
-TRIALS = 5
+# Per knob.  At 5 trials a median error moves by more than the 0.05
+# margin the frontier claim allows; 101 trials decide it.
+TRIALS = 101
 
 
 def _frontiers(workload):
@@ -79,15 +79,3 @@ def test_e14_frontier(heavy_triangle_workload):
             assert mv_error <= cj_error + 0.05, (
                 f"at budget {budget}: mv {mv_error} vs cj {cj_error}"
             )
-
-
-@pytest.mark.benchmark(group="e14")
-def test_e14_timing(benchmark, heavy_triangle_workload):
-    workload = heavy_triangle_workload
-
-    def run_once():
-        return TriangleRandomOrder(
-            t_guess=workload.triangles, epsilon=EPS, c=0.15, use_log_factor=False, seed=1
-        ).run(RandomOrderStream(workload.graph, seed=1)).estimate
-
-    assert benchmark.pedantic(run_once, rounds=3, iterations=1) >= 0

@@ -17,57 +17,38 @@ the dense graph and collapse on the sparse one (their additive O(εT)
 terms swamp a small T).
 """
 
-import pytest
-
 from repro.core import FourCycleAdjacencyDiamond, FourCycleL2Sampling, FourCycleMoment
-from repro.experiments import format_records, print_experiment, run_trials
+from repro.experiments import format_records, print_experiment
+from repro.experiments.suite import Cell
 from repro.streams import AdjacencyListStream
+
+from conftest import DENSE, DIAMONDS
 
 TRIALS = 3
 
 
-def _stats_for(workload, trials=TRIALS, include_l2=True):
-    truth = workload.four_cycles
-
-    def stream_factory(seed):
-        return AdjacencyListStream(workload.graph, seed=seed)
-
-    stats = {
-        "diamond (Thm 4.2)": run_trials(
-            lambda seed: FourCycleAdjacencyDiamond(
-                t_guess=truth, epsilon=0.3, c=0.5, seed=seed
-            ),
-            stream_factory,
-            truth=truth,
-            trials=trials,
-        ),
-        "moment (Thm 4.3a)": run_trials(
-            lambda seed: FourCycleMoment(
-                t_guess=truth, epsilon=0.2, groups=7, group_size=40, seed=seed
-            ),
-            stream_factory,
-            truth=truth,
-            trials=trials,
+def _stats_for(spec, include_l2=True):
+    algorithms = {
+        "diamond (Thm 4.2)": (FourCycleAdjacencyDiamond, {"epsilon": 0.3, "c": 0.5}),
+        "moment (Thm 4.3a)": (
+            FourCycleMoment,
+            {"epsilon": 0.2, "groups": 7, "group_size": 40},
         ),
     }
     if include_l2:
         # the l2 sampler's extraction enumerates all vertex pairs, so it
         # is only affordable (and only contractually applicable) on the
         # small dense workload
-        stats["l2 (Thm 4.3b)"] = run_trials(
-            lambda seed: FourCycleL2Sampling(
-                t_guess=truth,
-                epsilon=0.2,
-                num_samplers=48,
-                groups=7,
-                group_size=30,
-                seed=seed,
-            ),
-            stream_factory,
-            truth=truth,
-            trials=trials,
+        algorithms["l2 (Thm 4.3b)"] = (
+            FourCycleL2Sampling,
+            {"epsilon": 0.2, "num_samplers": 48, "groups": 7, "group_size": 30},
         )
-    return stats
+    return {
+        name: Cell(
+            *spec, "four_cycles", algorithm, AdjacencyListStream, knobs
+        ).measure(TRIALS, 0)
+        for name, (algorithm, knobs) in algorithms.items()
+    }
 
 
 def _rows(workload, stats):
@@ -84,7 +65,7 @@ def _rows(workload, stats):
 
 
 def test_e15_dense_regime(dense_workload):
-    stats = _stats_for(dense_workload)
+    stats = _stats_for(DENSE)
     print_experiment(
         "E15 (dense: all three contracts hold)", format_records(_rows(dense_workload, stats))
     )
@@ -100,7 +81,7 @@ def test_e15_sparse_regime(diamond_workload):
     """T << n^2: only the two-pass diamond contract applies."""
     workload = diamond_workload
     assert workload.four_cycles < workload.n**2
-    stats = _stats_for(workload, trials=3, include_l2=False)
+    stats = _stats_for(DIAMONDS, include_l2=False)
     print_experiment(
         "E15 (sparse: only Thm 4.2's contract applies)",
         format_records(_rows(workload, stats)),
@@ -110,15 +91,3 @@ def test_e15_sparse_regime(diamond_workload):
     assert diamond_err < 0.3
     # the moment estimator's additive n^2-scale error dominates here
     assert moment_err > diamond_err
-
-
-@pytest.mark.benchmark(group="e15")
-def test_e15_timing(benchmark, dense_workload):
-    workload = dense_workload
-
-    def run_once():
-        return FourCycleMoment(
-            t_guess=workload.four_cycles, epsilon=0.2, groups=5, group_size=20, seed=1
-        ).run(AdjacencyListStream(workload.graph, seed=1)).estimate
-
-    assert benchmark.pedantic(run_once, rounds=1, iterations=1) >= 0

@@ -8,34 +8,35 @@ Rows reported: algorithm x workload, median estimate, relative error of
 the median, mean relative error, median space (words).
 """
 
-import pytest
-
 from repro.baselines import CormodeJowhariTriangles, EdgeSamplingTriangles, TriestImpr
 from repro.core import TriangleRandomOrder
 from repro.experiments import print_experiment, format_records, run_trials
+from repro.experiments.suite import Cell
 from repro.streams import RandomOrderStream
+
+from conftest import HEAVY_TRIANGLES, LIGHT_TRIANGLES
 
 EPSILON = 0.3
 TRIALS = 9
 
 
-def _rows_for(workload):
+def _rows_for(spec, workload):
     truth = workload.triangles
-    mv_stats = run_trials(
-        lambda seed: TriangleRandomOrder(t_guess=truth, epsilon=EPSILON, seed=seed),
-        lambda seed: RandomOrderStream(workload.graph, seed=seed),
-        truth=truth,
-        trials=TRIALS,
-    )
+    knobs = {"epsilon": EPSILON}
+    mv_stats = Cell(
+        *spec, "triangles", TriangleRandomOrder, RandomOrderStream, knobs
+    ).measure(TRIALS, 0)
     budget = max(12, int(mv_stats.median_space))
     competitors = {
         "mv-triangle-ro (Thm 2.1)": mv_stats,
-        "cormode-jowhari": run_trials(
-            lambda seed: CormodeJowhariTriangles(t_guess=truth, epsilon=EPSILON),
-            lambda seed: RandomOrderStream(workload.graph, seed=seed),
-            truth=truth,
-            trials=TRIALS,
-        ),
+        "cormode-jowhari": Cell(
+            *spec,
+            "triangles",
+            CormodeJowhariTriangles,
+            RandomOrderStream,
+            knobs,
+            seed_param=None,
+        ).measure(TRIALS, 0),
         "triest-impr (same space)": run_trials(
             lambda seed: TriestImpr(memory=budget, seed=seed),
             lambda seed: RandomOrderStream(workload.graph, seed=seed),
@@ -66,29 +67,16 @@ def _rows_for(workload):
 
 
 def test_e1_light_workload(light_triangle_workload):
-    rows, stats = _rows_for(light_triangle_workload)
+    rows, stats = _rows_for(LIGHT_TRIANGLES, light_triangle_workload)
     print_experiment("E1 (light workload)", format_records(rows))
     assert stats["mv-triangle-ro (Thm 2.1)"].median_relative_error < EPSILON
 
 
 def test_e1_heavy_workload(heavy_triangle_workload):
-    rows, stats = _rows_for(heavy_triangle_workload)
+    rows, stats = _rows_for(HEAVY_TRIANGLES, heavy_triangle_workload)
     print_experiment("E1 (heavy-edge workload)", format_records(rows))
     mv = stats["mv-triangle-ro (Thm 2.1)"]
     cj = stats["cormode-jowhari"]
     assert mv.median_relative_error < EPSILON
     # the paper's "who wins": heavy-edge handling beats prefix sampling
     assert mv.mean_relative_error < cj.mean_relative_error
-
-
-@pytest.mark.benchmark(group="e1")
-def test_e1_timing(benchmark, light_triangle_workload):
-    workload = light_triangle_workload
-    truth = workload.triangles
-
-    def run_once():
-        algorithm = TriangleRandomOrder(t_guess=truth, epsilon=EPSILON, seed=1)
-        return algorithm.run(RandomOrderStream(workload.graph, seed=1)).estimate
-
-    estimate = benchmark.pedantic(run_once, rounds=3, iterations=1)
-    assert estimate > 0

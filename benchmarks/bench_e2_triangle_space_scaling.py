@@ -19,8 +19,6 @@ under test, not the constants.
 import math
 import statistics
 
-import pytest
-
 from repro.core import TriangleRandomOrder
 from repro.experiments import format_records, loglog_slope, print_experiment
 from repro.graphs import planted_triangles, triangle_count
@@ -84,17 +82,3 @@ def test_e2_space_scaling():
     assert -0.75 < corrected_slope < -0.3, (
         f"per-level slope {corrected_slope} is not ~ -1/2"
     )
-
-
-@pytest.mark.benchmark(group="e2")
-def test_e2_timing(benchmark):
-    graph = planted_triangles(N_VERTICES, 450, extra_edges=1850, seed=7)
-    truth = triangle_count(graph)
-
-    def run_once():
-        return TriangleRandomOrder(
-            t_guess=truth, epsilon=0.3, c=C_SCALE, use_log_factor=False, seed=1
-        ).run(RandomOrderStream(graph, seed=1)).space_items
-
-    space = benchmark.pedantic(run_once, rounds=3, iterations=1)
-    assert space > 0

@@ -15,8 +15,6 @@ Three properties are measured:
 
 import math
 
-import pytest
-
 from repro.core import TriangleRandomOrder
 from repro.experiments import format_records, print_experiment
 from repro.graphs import triangle_count
@@ -92,18 +90,3 @@ def test_e3_protocol_accuracy():
     ]
     print_experiment("E3 (random-partition protocol)", format_records(rows))
     assert correct >= trials - 1
-
-
-@pytest.mark.benchmark(group="e3")
-def test_e3_timing(benchmark):
-    def run_once():
-        construction = build_figure1(n=8, t=16, seed=3)
-        outcome = run_random_partition_protocol(
-            construction,
-            lambda: TriangleRandomOrder(t_guess=16, epsilon=0.3, seed=5),
-            alice_probability=0.25,
-            seed=11,
-        )
-        return outcome.communication_items
-
-    assert benchmark.pedantic(run_once, rounds=3, iterations=1) > 0

@@ -9,9 +9,6 @@ samples drawn at the same probability, streamed in random vertex order.
 """
 
 import random
-import statistics
-
-import pytest
 
 from repro.core import UsefulAlgorithm, bernoulli_vertex_sample
 from repro.experiments import format_records, print_experiment
@@ -89,13 +86,3 @@ def test_e4_space_scales_with_heavy_count():
         return algorithm.heavy_counter_count
 
     assert heavy_counters(small_m) > heavy_counters(large_m)
-
-
-@pytest.mark.benchmark(group="e4")
-def test_e4_timing(benchmark):
-    graph = erdos_renyi(150, 0.1, seed=3)
-
-    def run_once():
-        return _run_once(graph, 1.5 * graph.num_edges, seed=2)
-
-    assert benchmark.pedantic(run_once, rounds=3, iterations=1) >= 0

@@ -10,29 +10,33 @@ Claims under test:
   of Section 4.1).
 """
 
-import pytest
-
 from repro.baselines import WedgePairSamplingFourCycles
 from repro.core import FourCycleAdjacencyDiamond
 from repro.experiments import format_records, print_experiment, run_trials
+from repro.experiments.suite import Cell
 from repro.graphs import total_wedges
 from repro.streams import AdjacencyListStream
+
+from conftest import DIAMONDS
 
 EPSILON = 0.3
 TRIALS = 5
 
 
+def _diamond_cell(c):
+    return Cell(
+        *DIAMONDS,
+        "four_cycles",
+        FourCycleAdjacencyDiamond,
+        AdjacencyListStream,
+        {"epsilon": EPSILON, "c": c},
+    )
+
+
 def test_e5_accuracy_and_passes(diamond_workload):
     workload = diamond_workload
     truth = workload.four_cycles
-    stats = run_trials(
-        lambda seed: FourCycleAdjacencyDiamond(
-            t_guess=truth, epsilon=EPSILON, c=0.5, seed=seed
-        ),
-        lambda seed: AdjacencyListStream(workload.graph, seed=seed),
-        truth=truth,
-        trials=TRIALS,
-    )
+    stats = _diamond_cell(0.5).measure(TRIALS, 0)
     rows = [
         {
             "workload": workload.name,
@@ -54,14 +58,7 @@ def test_e5_vs_wedge_pair_baseline(diamond_workload):
     truth = workload.four_cycles
     wedges = total_wedges(workload.graph)
 
-    diamond_stats = run_trials(
-        lambda seed: FourCycleAdjacencyDiamond(
-            t_guess=truth, epsilon=EPSILON, c=0.3, seed=seed
-        ),
-        lambda seed: AdjacencyListStream(workload.graph, seed=seed),
-        truth=truth,
-        trials=TRIALS,
-    )
+    diamond_stats = _diamond_cell(0.3).measure(TRIALS, 0)
     # hand the baseline the same expected wedge-sample budget
     budget = max(10, int(diamond_stats.median_space))
     baseline_stats = run_trials(
@@ -88,16 +85,3 @@ def test_e5_vs_wedge_pair_baseline(diamond_workload):
     ]
     print_experiment("E5 (diamond grouping vs pair sampling)", format_records(rows))
     assert diamond_stats.median_relative_error < EPSILON
-
-
-@pytest.mark.benchmark(group="e5")
-def test_e5_timing(benchmark, diamond_workload):
-    workload = diamond_workload
-    truth = workload.four_cycles
-
-    def run_once():
-        return FourCycleAdjacencyDiamond(
-            t_guess=truth, epsilon=EPSILON, c=0.3, seed=1
-        ).run(AdjacencyListStream(workload.graph, seed=1)).estimate
-
-    assert benchmark.pedantic(run_once, rounds=1, iterations=1) > 0

@@ -7,12 +7,13 @@ table reports both moment estimates against their exact values.
 
 import statistics
 
-import pytest
-
 from repro.core import FourCycleMoment
-from repro.experiments import format_records, print_experiment, run_trials
+from repro.experiments import format_records, print_experiment
+from repro.experiments.suite import Cell
 from repro.graphs import wedge_counts
 from repro.streams import AdjacencyListStream
+
+from conftest import DENSE
 
 EPSILON = 0.2
 LAYOUT = dict(groups=7, group_size=60)
@@ -23,12 +24,13 @@ def test_e6_accuracy(dense_workload):
     workload = dense_workload
     truth = workload.four_cycles
     assert truth > workload.n**2, "workload must be in the T = Omega(n^2) regime"
-    stats = run_trials(
-        lambda seed: FourCycleMoment(t_guess=truth, epsilon=EPSILON, seed=seed, **LAYOUT),
-        lambda seed: AdjacencyListStream(workload.graph, seed=seed),
-        truth=truth,
-        trials=TRIALS,
-    )
+    stats = Cell(
+        *DENSE,
+        "four_cycles",
+        FourCycleMoment,
+        AdjacencyListStream,
+        {"epsilon": EPSILON, **LAYOUT},
+    ).measure(TRIALS, 0)
     rows = [
         {
             "workload": workload.name,
@@ -82,15 +84,3 @@ def test_e6_moment_components(dense_workload):
     assert abs(statistics.median(f2_estimates) - f2_true) / f2_true < 0.3
     # F1 additive term is small relative to F2 in this regime
     assert f1_true < 0.2 * f2_true
-
-
-@pytest.mark.benchmark(group="e6")
-def test_e6_timing(benchmark, dense_workload):
-    workload = dense_workload
-
-    def run_once():
-        return FourCycleMoment(
-            t_guess=workload.four_cycles, epsilon=EPSILON, seed=1, **LAYOUT
-        ).run(AdjacencyListStream(workload.graph, seed=1)).estimate
-
-    assert benchmark.pedantic(run_once, rounds=1, iterations=1) >= 0

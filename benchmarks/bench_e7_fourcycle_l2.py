@@ -7,11 +7,12 @@ contributes a Bernoulli((x-1)/(4x)) vote and T = mean * F2.
 
 import statistics
 
-import pytest
-
 from repro.core import FourCycleL2Sampling
-from repro.experiments import format_records, print_experiment, run_trials
+from repro.experiments import format_records, print_experiment
+from repro.experiments.suite import Cell
 from repro.streams import AdjacencyListStream
+
+from conftest import DENSE
 
 SAMPLERS = 60
 LAYOUT = dict(groups=7, group_size=40)
@@ -21,14 +22,13 @@ TRIALS = 3
 def test_e7_accuracy(dense_workload):
     workload = dense_workload
     truth = workload.four_cycles
-    stats = run_trials(
-        lambda seed: FourCycleL2Sampling(
-            t_guess=truth, epsilon=0.2, num_samplers=SAMPLERS, seed=seed, **LAYOUT
-        ),
-        lambda seed: AdjacencyListStream(workload.graph, seed=seed),
-        truth=truth,
-        trials=TRIALS,
-    )
+    stats = Cell(
+        *DENSE,
+        "four_cycles",
+        FourCycleL2Sampling,
+        AdjacencyListStream,
+        {"epsilon": 0.2, "num_samplers": SAMPLERS, **LAYOUT},
+    ).measure(TRIALS, 0)
     rows = [
         {
             "workload": workload.name,
@@ -86,20 +86,3 @@ def test_e7_sample_values_follow_x_distribution(dense_workload):
     values = result.details["sampled_values"]
     assert values
     assert statistics.mean(values) > mean_x  # size-biased sampling
-
-
-@pytest.mark.benchmark(group="e7")
-def test_e7_timing(benchmark, dense_workload):
-    workload = dense_workload
-
-    def run_once():
-        return FourCycleL2Sampling(
-            t_guess=workload.four_cycles,
-            epsilon=0.2,
-            num_samplers=20,
-            seed=1,
-            groups=3,
-            group_size=10,
-        ).run(AdjacencyListStream(workload.graph, seed=1)).estimate
-
-    assert benchmark.pedantic(run_once, rounds=1, iterations=1) >= 0

@@ -16,24 +16,33 @@ import pytest
 
 from repro.baselines import BeraChakrabartiFourCycles
 from repro.core import FourCycleArbitraryThreePass
-from repro.experiments import format_records, loglog_slope, print_experiment, run_trials
+from repro.experiments import format_records, loglog_slope, print_experiment
+from repro.experiments.suite import Cell
 from repro.graphs import four_cycle_count, planted_diamonds
 from repro.streams import RandomOrderStream
+
+from conftest import MEDIUM_DIAMONDS
 
 EPSILON = 0.3
 SETTINGS = dict(epsilon=EPSILON, eta=2.0, c=0.6, use_log_factor=False)
 TRIALS = 5
 
 
-def test_e8_accuracy(medium_diamond_workload):
+@pytest.fixture(scope="module")
+def threepass_stats():
+    return Cell(
+        *MEDIUM_DIAMONDS,
+        "four_cycles",
+        FourCycleArbitraryThreePass,
+        RandomOrderStream,
+        SETTINGS,
+    ).measure(TRIALS, 0)
+
+
+def test_e8_accuracy(medium_diamond_workload, threepass_stats):
     workload = medium_diamond_workload
     truth = workload.four_cycles
-    stats = run_trials(
-        lambda seed: FourCycleArbitraryThreePass(t_guess=truth, seed=seed, **SETTINGS),
-        lambda seed: RandomOrderStream(workload.graph, seed=seed),
-        truth=truth,
-        trials=TRIALS,
-    )
+    stats = threepass_stats
     sample_result = stats.results[0]
     rows = [
         {
@@ -52,26 +61,33 @@ def test_e8_accuracy(medium_diamond_workload):
     assert stats.median_relative_error < EPSILON
 
 
-def test_e8_space_vs_bc_crossover(medium_diamond_workload):
+def test_e8_space_vs_bc_crossover(medium_diamond_workload, threepass_stats):
     """BC needs ~ m^2/T pairs; Thm 5.3 needs ~ m/T^{1/4} items.
     On this workload T << m^{4/3}, so the three-pass algorithm must
-    store fewer items."""
+    store fewer items, in the median over the same trials."""
     workload = medium_diamond_workload
-    truth = workload.four_cycles
-    assert truth < workload.m ** (4 / 3)
-
-    mv = FourCycleArbitraryThreePass(t_guess=truth, seed=1, **SETTINGS).run(
-        RandomOrderStream(workload.graph, seed=1)
-    )
-    bc = BeraChakrabartiFourCycles(t_guess=truth, epsilon=EPSILON, seed=1).run(
-        RandomOrderStream(workload.graph, seed=1)
-    )
+    assert workload.four_cycles < workload.m ** (4 / 3)
+    bc = Cell(
+        *MEDIUM_DIAMONDS,
+        "four_cycles",
+        BeraChakrabartiFourCycles,
+        RandomOrderStream,
+        {"epsilon": EPSILON},
+    ).measure(TRIALS, 0)
     rows = [
-        {"algorithm": "three-pass (Thm 5.3)", "space_items": mv.space_items},
-        {"algorithm": "bera-chakrabarti", "space_items": bc.space_items},
+        {
+            "algorithm": "three-pass (Thm 5.3)",
+            "median_space": threepass_stats.median_space,
+            "median_rel_err": round(threepass_stats.median_relative_error, 4),
+        },
+        {
+            "algorithm": "bera-chakrabarti",
+            "median_space": bc.median_space,
+            "median_rel_err": round(bc.median_relative_error, 4),
+        },
     ]
     print_experiment("E8 (space at T << m^{4/3})", format_records(rows))
-    assert mv.space_items < bc.space_items
+    assert threepass_stats.median_space < bc.median_space
 
 
 def test_e8_space_scaling():
@@ -114,16 +130,3 @@ def test_e8_space_scaling():
     rows.append({"T": "slope", "m": "", "sample_space": round(slope, 3), "total_space": ""})
     print_experiment("E8 (sample space ~ m/T^{1/4})", format_records(rows))
     assert -0.6 < slope < -0.1, f"slope {slope} is not ~ -1/4"
-
-
-@pytest.mark.benchmark(group="e8")
-def test_e8_timing(benchmark, medium_diamond_workload):
-    workload = medium_diamond_workload
-    truth = workload.four_cycles
-
-    def run_once():
-        return FourCycleArbitraryThreePass(t_guess=truth, seed=1, **SETTINGS).run(
-            RandomOrderStream(workload.graph, seed=1)
-        ).estimate
-
-    assert benchmark.pedantic(run_once, rounds=1, iterations=1) > 0

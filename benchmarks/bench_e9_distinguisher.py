@@ -10,8 +10,6 @@ Claims under test:
 
 import math
 
-import pytest
-
 from repro.core import FourCycleDistinguisher
 from repro.experiments import decision_rate, format_records, print_experiment
 from repro.graphs import friendship_graph
@@ -78,15 +76,3 @@ def test_e9_space_shrinks_with_t(sparse_c4_workload):
         RandomOrderStream(workload.graph, seed=1)
     )
     assert large.space_items < small.space_items
-
-
-@pytest.mark.benchmark(group="e9")
-def test_e9_timing(benchmark, sparse_c4_workload):
-    workload = sparse_c4_workload
-
-    def run_once():
-        return FourCycleDistinguisher(
-            t_guess=workload.four_cycles, c=3.0, seed=1
-        ).decide(RandomOrderStream(workload.graph, seed=1))
-
-    benchmark.pedantic(run_once, rounds=3, iterations=1)

@@ -84,12 +84,3 @@ def test_power_law_has_heavy_tail(inventory):
 def test_diamond_mixture_has_concentrated_cycles(inventory):
     profile = inventory["diamond-mixture"]
     assert profile["max_edge_four_cycles"] >= 30  # the size-40 diamonds
-
-
-@pytest.mark.benchmark(group="inventory")
-def test_inventory_timing(benchmark):
-    def run_once():
-        workload = build_workload("noisy-gnp")
-        return heaviness_summary(workload.graph)["four_cycles"]
-
-    assert benchmark.pedantic(run_once, rounds=1, iterations=1) >= 0

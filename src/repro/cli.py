@@ -62,7 +62,13 @@ EXPERIMENT_INDEX = [
     ("E10", "Thm 5.7 one-pass dense", "benchmarks/bench_e10_onepass_dense.py"),
     ("E11", "Thm 5.8 DISJ lower bound", "benchmarks/bench_e11_lowerbound_disj.py"),
     ("E12", "Lemma 5.1 structural", "benchmarks/bench_e12_structural_lemma.py"),
-    ("E13", "cross-model frontier", "benchmarks/bench_e13_frontier.py"),
+    (
+        "E13",
+        "cross-model frontier",
+        # the three tests that own its comparisons
+        "benchmarks/ -k 'test_e1_heavy_workload or test_e5_vs_wedge_pair_baseline"
+        " or test_e8_space_vs_bc_crossover'",
+    ),
     ("E14", "error-vs-space frontier curves", "benchmarks/bench_e14_error_vs_space.py"),
     ("E15", "Section 4 tradeoff table", "benchmarks/bench_e15_adjacency_tradeoffs.py"),
     ("E16", "robustness: error vs stream-fault rate", "src/repro/experiments/robustness.py"),
@@ -231,7 +237,7 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
     ]
     print(format_records(rows))
     print(
-        "\nfull run:  pytest <bench> -s --benchmark-disable"
+        "\nfull run:  pytest <bench> -s"
         "\nlight run: python -m repro run-experiment <id>"
     )
     return 0

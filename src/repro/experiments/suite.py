@@ -1,10 +1,12 @@
 """Programmatic experiment suite and the measured contributions table.
 
-The full experiments live in ``benchmarks/`` as pytest-benchmark
-targets with assertions; this module provides *light* variants that
-run in seconds from plain Python (or ``python -m repro run-experiment
-E9``) and return the same kind of record tables.  They are the demo /
-smoke tier: smaller workloads, fewer trials, no assertions.
+The full experiments live in ``benchmarks/``, the claims tier: plain
+pytest files that print each table and assert its claim, measuring
+their trial cells through :meth:`Cell.measure`.  This module provides
+*light* variants that run in seconds from plain Python (or ``python -m
+repro run-experiment E9``) and return the same kind of record tables.
+They are the demo / smoke tier: smaller workloads, fewer trials, no
+assertions.
 
 Every (workload, algorithm, stream, knobs) trial cell is defined once,
 in :data:`CELLS`.  Two views read it: the light experiments E1, E5 and

@@ -75,9 +75,7 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p): each of the C(n, 2) edges present independently w.p. ``p``.
 
     Vectorized: one Bernoulli block per row of the upper triangle (see
-    :func:`_row_blocked_bernoulli`); deterministic given ``seed`` but
-    drawing a different (equally distributed) instance than the legacy
-    scalar-loop generator :func:`erdos_renyi_loop`.
+    :func:`_row_blocked_bernoulli`); deterministic given ``seed``.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
@@ -90,28 +88,12 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     return graph
 
 
-def erdos_renyi_loop(n: int, p: float, seed: int = 0) -> Graph:
-    """Legacy scalar-loop G(n, p) — kept as the distribution reference
-    for the vectorized generator's equivalence tests and benchmarks."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    rng = generator_scalar_rng("erdos-renyi-loop", seed)
-    graph = Graph()
-    for v in range(n):
-        graph.add_vertex(v)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                graph.add_edge(u, v)
-    return graph
-
-
 def gnm_random_graph(n: int, m: int, seed: int = 0) -> Graph:
     """G(n, m): exactly ``m`` distinct edges chosen uniformly at random.
 
     Vectorized rejection sampling: draw endpoint pairs in batches,
     canonicalize, and keep the first ``m`` distinct pairs in draw order
-    — the same "sample until m distinct" process as the legacy loop, so
+    — the same "sample until m distinct" process as a scalar loop, so
     the edge set is a uniform ``m``-subset.
     """
     max_edges = n * (n - 1) // 2
@@ -138,23 +120,6 @@ def gnm_random_graph(n: int, m: int, seed: int = 0) -> Graph:
     chosen = codes[np.sort(first_index)[:m]]
     for code in chosen:
         graph.add_edge(int(code) // n, int(code) % n)
-    return graph
-
-
-def gnm_random_graph_loop(n: int, m: int, seed: int = 0) -> Graph:
-    """Legacy scalar-loop G(n, m) — distribution reference for tests."""
-    max_edges = n * (n - 1) // 2
-    if m > max_edges:
-        raise ValueError(f"cannot place {m} edges on {n} vertices (max {max_edges})")
-    rng = generator_scalar_rng("gnm-loop", seed)
-    graph = Graph()
-    for v in range(n):
-        graph.add_vertex(v)
-    while graph.num_edges < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v:
-            graph.add_edge(u, v)
     return graph
 
 
@@ -212,27 +177,6 @@ def chung_lu(weights: Sequence[float], seed: int = 0) -> Graph:
         lambda u: np.minimum(1.0, weight_arr[u] * weight_arr[u + 1 :] / total),
         graph,
     )
-    return graph
-
-
-def chung_lu_loop(weights: Sequence[float], seed: int = 0) -> Graph:
-    """Legacy scalar-loop Chung–Lu — distribution reference for tests."""
-    if not weights:
-        raise ValueError("need at least one weight")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must have positive sum")
-    rng = generator_scalar_rng("chung-lu-loop", seed)
-    graph = Graph()
-    n = len(weights)
-    for v in range(n):
-        graph.add_vertex(v)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < min(1.0, weights[u] * weights[v] / total):
-                graph.add_edge(u, v)
     return graph
 
 
@@ -308,19 +252,6 @@ def random_bipartite(a: int, b: int, p: float, seed: int = 0) -> Graph:
         hits = np.nonzero(rng.random(b) < p)[0]
         for v in hits:
             graph.add_edge(u, a + int(v))
-    return graph
-
-
-def random_bipartite_loop(a: int, b: int, p: float, seed: int = 0) -> Graph:
-    """Legacy scalar-loop random bipartite — distribution reference."""
-    rng = generator_scalar_rng("random-bipartite-loop", seed)
-    graph = Graph()
-    for v in range(a + b):
-        graph.add_vertex(v)
-    for u in range(a):
-        for v in range(a, a + b):
-            if rng.random() < p:
-                graph.add_edge(u, v)
     return graph
 
 

@@ -1,11 +1,11 @@
-"""Vectorized generators vs the legacy scalar loops.
+"""Vectorized generators vs scalar-loop references.
 
 The numpy generators draw from the *same distributions* as the
-``*_loop`` legacy implementations but use a different RNG, so a fixed
+``*_loop`` scalar references below but use a different RNG, so a fixed
 seed yields a different (equally distributed) instance.  The tests
 therefore check (a) structural invariants and determinism per
-generator, (b) distribution agreement between old and new paths on
-matched parameters — edge counts and subgraph-count statistics
+generator, (b) distribution agreement between the loop and numpy paths
+on matched parameters — edge counts and subgraph-count statistics
 averaged over seeds, and (c) exact agreement with
 ``repro.graphs.exact`` counters on small instances.
 """
@@ -15,23 +15,76 @@ import statistics
 import pytest
 
 from repro.graphs import (
+    Graph,
     chung_lu,
-    chung_lu_loop,
     erdos_renyi,
-    erdos_renyi_loop,
     fast_counts,
     four_cycle_count,
     gnm_random_graph,
-    gnm_random_graph_loop,
     random_bipartite,
-    random_bipartite_loop,
     triangle_count,
 )
 from repro.graphs.exact import wedge_counts
+from repro.graphs.generators import generator_scalar_rng
 
 
 def _wedge_f2(graph):
     return sum(c * c for c in wedge_counts(graph).values())
+
+
+# ----------------------------------------------------------------------
+# scalar-loop references: one draw per candidate edge (or per endpoint
+# pair for G(n, m)), the textbook form of each distribution
+# ----------------------------------------------------------------------
+def erdos_renyi_loop(n, p, seed=0):
+    rng = generator_scalar_rng("erdos-renyi-loop", seed)
+    graph = Graph()
+    for v in range(n):
+        graph.add_vertex(v)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                graph.add_edge(u, v)
+    return graph
+
+
+def gnm_random_graph_loop(n, m, seed=0):
+    rng = generator_scalar_rng("gnm-loop", seed)
+    graph = Graph()
+    for v in range(n):
+        graph.add_vertex(v)
+    while graph.num_edges < m:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v:
+            graph.add_edge(u, v)
+    return graph
+
+
+def chung_lu_loop(weights, seed=0):
+    rng = generator_scalar_rng("chung-lu-loop", seed)
+    total = float(sum(weights))
+    graph = Graph()
+    n = len(weights)
+    for v in range(n):
+        graph.add_vertex(v)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < min(1.0, weights[u] * weights[v] / total):
+                graph.add_edge(u, v)
+    return graph
+
+
+def random_bipartite_loop(a, b, p, seed=0):
+    rng = generator_scalar_rng("random-bipartite-loop", seed)
+    graph = Graph()
+    for v in range(a + b):
+        graph.add_vertex(v)
+    for u in range(a):
+        for v in range(a, a + b):
+            if rng.random() < p:
+                graph.add_edge(u, v)
+    return graph
 
 
 class TestDeterminism:
