@@ -30,15 +30,35 @@ Structure (paper Section 5.1):
 The parameter ``eta`` trades accuracy (the ``164/eta`` loss) against
 the variance control that heavy-edge removal buys; the paper treats it
 as a large constant.
+
+Implementation: pass 1 hashes the stream in slices of 4,096 edges, one
+``bernoulli_array`` per sample, and inserts the hits in stream order.
+:func:`_build_oracles` selects every oracle's ``R1(e), R2(e)`` in one
+batch: the tuple keys are folded from member-key columns and each is
+evaluated under its own oracle's hash function.  Each oracle indexes
+its members by the endpoint of ``e`` they hang off, so in pass 3 the
+H_e-neighbours of a stream edge are one set intersection per sample
+copy.  Estimates, details and space accounting equal the
+one-oracle-at-a-time scalar path exactly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Set, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..graphs.graph import Edge, Vertex, normalize_edge
-from ..sketches.hashing import KWiseHash
+from ..sketches.hashing import (
+    HashStack,
+    KWiseHash,
+    bernoulli_threshold,
+    stable_key_array,
+    stable_tuple_keys,
+    unit_uniforms,
+)
 from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
 from .result import EstimateResult
@@ -46,6 +66,8 @@ from .skeleton import check_accuracy, finish, pass_span
 from .useful import UsefulAlgorithm
 
 Cycle = Tuple[Vertex, Vertex, Vertex, Vertex]  # (a, b, c, d) in cycle order
+
+_PASS1_CHUNK = 4096  # edges per hashed slice of pass 1
 
 
 def subsample_q(p: float) -> float:
@@ -66,119 +88,79 @@ def subsample_q(p: float) -> float:
     return (-b - math.sqrt(disc)) / (2 * a)
 
 
+def _selection_rates(p: float) -> Tuple[Optional[float], float]:
+    """``(q, effective_p)``: how H_e vertices are selected at ``p``.
+
+    Paper mode (``0 < p < 0.5``) draws with the sub-sampling ``q`` of
+    :func:`subsample_q`, and each H_e vertex lands in a sample with
+    probability ``p (0.4 + q)``.  Direct mode (``q`` is ``None``; the
+    dense regime ``p >= 0.5``, outside the paper's ``p < 0.1`` remit)
+    selects each candidate H_e vertex with probability 0.4; at ``p == 1``
+    the pair events are exactly independent, and the residual
+    correlation for ``p`` in (0.5, 1) is at most a factor ``1/p`` on the
+    pair probability.
+    """
+    if 0.0 < p < 0.5:
+        q = subsample_q(p)
+        return q, p * (0.4 + q)
+    return None, 0.4 * min(1.0, p)
+
+
+# Selected H_e vertices of one sample copy, by the endpoint x of e they
+# hang off: {x: {d: g}} with g = (d, x) normalized.
+Hanging = Dict[Vertex, Dict[Vertex, Edge]]
+
+
 class _EdgeOracle:
-    """One heavy/light classifier: a Useful run over ``H_e``."""
+    """One heavy/light classifier: a Useful run over ``H_e``.
+
+    ``hanging[copy]`` holds the members of ``R1(e)`` (copy 0) or
+    ``R2(e)`` (copy 1) by the endpoint of ``e`` they hang off (see
+    :func:`_build_oracles`); ``s_adjs`` are the shared samples S1, S2.
+    """
 
     def __init__(
         self,
         edge: Edge,
-        q1: Set[Vertex],
-        q2: Set[Vertex],
-        s1_adj: Dict[Vertex, Set[Vertex]],
-        s2_adj: Dict[Vertex, Set[Vertex]],
-        p: float,
+        hanging: Tuple[Hanging, Hanging],
+        s_adjs: Tuple[Dict[Vertex, Set[Vertex]], Dict[Vertex, Set[Vertex]]],
+        effective_p: float,
         m_bound: float,
-        seed: int,
     ) -> None:
         self.edge = edge
-        self._s_adj = (s1_adj, s2_adj)
-        self._select_hash = [
-            KWiseHash(k=2, seed=seed, namespace="threepass.select[0]"),
-            KWiseHash(k=2, seed=seed, namespace="threepass.select[1]"),
-        ]
-        if 0.0 < p < 0.5:
-            q = subsample_q(p)
-            self._mode = "paper"
-            self._include_both_prob = q
-            effective_p = p * (0.4 + q)
-        else:
-            # dense regime (p >= 0.5, outside the paper's p < 0.1 remit):
-            # select each candidate H_e vertex with probability 0.4; at
-            # p == 1 the pair events are exactly independent, and the
-            # residual correlation for p in (0.5, 1) is at most a factor
-            # 1/p on the pair probability.
-            self._mode = "direct"
-            self._include_both_prob = 0.0
-            effective_p = 0.4 * min(1.0, p)
         self.effective_p = effective_p
-        # build R1(e), R2(e): H_e vertices selected from each sample
-        self._r = [
-            self._build_sample(copy, q1 if copy == 0 else q2)
-            for copy in (0, 1)
-        ]
-        self.useful = UsefulAlgorithm(
-            r1=self._r[0], r2=self._r[1], p=effective_p, m_bound=m_bound
+        a, b = edge
+        # for f through endpoint w of e: the copies whose members hang
+        # off the other endpoint, with the S sample that drew them
+        self._facing = {
+            w: [(copy[o], s_adj) for copy, s_adj in zip(hanging, s_adjs) if o in copy]
+            for w, o in ((a, b), (b, a))
+        }
+        r1, r2 = (
+            [g for by_d in copy.values() for g in by_d.values()] for copy in hanging
         )
+        self.useful = UsefulAlgorithm(r1=r1, r2=r2, p=effective_p, m_bound=m_bound)
+        self._members = self.useful.r1 | self.useful.r2
 
-    # ------------------------------------------------------------------
-    def _build_sample(self, copy: int, q_set: Set[Vertex]) -> Set[Edge]:
-        """Select H_e vertices ``(d, x)`` with ``d`` in the Q sample."""
-        a, b = self.edge
-        selected: Set[Edge] = set()
-        adj = self._s_adj[copy]
-        candidates: Set[Vertex] = set()
-        for x in (a, b):
-            candidates.update(d for d in adj.get(x, ()) if d in q_set)
-        candidates.discard(a)
-        candidates.discard(b)
-        hash_fn = self._select_hash[copy]
-        for d in candidates:
-            has_to_a = a in adj.get(d, ())
-            has_to_b = b in adj.get(d, ())
-            edges_present = [x for x, has in ((a, has_to_a), (b, has_to_b)) if has]
-            if not edges_present:
-                continue
-            if self._mode == "direct":
-                for x in edges_present:
-                    if hash_fn.bernoulli((d, x, self.edge), 0.4):
-                        selected.add(normalize_edge(d, x))
-                continue
-            q = self._include_both_prob
-            if len(edges_present) == 2:
-                choice = hash_fn.choice4((d, self.edge), 0.4, 0.4, q)
-                if choice in (0, 2):
-                    selected.add(normalize_edge(d, edges_present[0]))
-                if choice in (1, 2):
-                    selected.add(normalize_edge(d, edges_present[1]))
-            else:
-                if hash_fn.bernoulli((d, self.edge), 0.4 + q):
-                    selected.add(normalize_edge(d, edges_present[0]))
-        return selected
-
-    # ------------------------------------------------------------------
-    def process_stream_edge(self, f: Edge) -> None:
-        """Pass-3 hook: ``f`` shares exactly one endpoint with ``e``.
+    def process_stream_edge(self, f: Edge, shared: Vertex, outer: Vertex) -> None:
+        """Pass-3 hook: ``f = {shared, outer}`` meets ``e`` in ``shared`` only.
 
         ``f`` is a vertex of ``H_e``; its observable H_e-neighbors are
         the selected sample members ``g = (d, opposite)`` hanging off
         the *other* endpoint of ``e``, connected iff the witness edge
-        between the outer endpoints exists (checkable because ``d``'s
-        full adjacency is in the S sample that produced ``g``).
+        ``(outer, d)`` exists.  That is checkable because ``d``'s full
+        adjacency is in the S sample that produced ``g``, so the
+        witnesses are the ``d`` hanging off ``opposite`` that are also
+        ``outer``'s S-neighbours.  (``d`` is never an endpoint of ``e``,
+        and never ``outer``: S holds no self loop.)
         """
-        a, b = self.edge
-        fu, fv = f
-        if fu in (a, b):
-            shared, outer = fu, fv
-        else:
-            shared, outer = fv, fu
-        opposite = b if shared == a else a
         weights: Dict[Edge, float] = {}
-        for copy in (0, 1):
-            adj = self._s_adj[copy]
-            for g in self._r[copy]:
-                gu, gv = g
-                if opposite == gu:
-                    d = gv
-                elif opposite == gv:
-                    d = gu
-                else:
-                    continue  # g hangs off the same endpoint as f
-                if d in (a, b, outer, shared) or outer in (opposite, d):
-                    continue
-                # witness edge (outer, d): d's adjacency is complete in S
-                if outer in adj.get(d, ()):
-                    weights[g] = 1.0
-        self.useful.process_vertex(f, weights)
+        for by_d, s_adj in self._facing[shared]:
+            for d in by_d.keys() & s_adj.get(outer, ()):
+                weights[by_d[d]] = 1.0
+        # an empty call only marks f seen, which matters for members only
+        if weights or f in self._members:
+            self.useful.process_vertex(f, weights)
 
     def classify(self, eta_sqrt_t: float) -> bool:
         """True iff heavy: the Useful estimate reaches ``eta sqrt(T)``."""
@@ -191,6 +173,110 @@ class _EdgeOracle:
         oracles and metered once by the caller, matching the paper's
         space accounting."""
         return self.useful.heavy_counter_count + 3
+
+
+def _build_oracles(
+    edges: Sequence[Edge],
+    q_sets: Tuple[Set[Vertex], Set[Vertex]],
+    s_adjs: Tuple[Dict[Vertex, Set[Vertex]], Dict[Vertex, Set[Vertex]]],
+    p: float,
+    m_bound: float,
+    seeds: Sequence[int],
+) -> List[_EdgeOracle]:
+    """One oracle per edge ``e = (a, b)``, with its samples ``R1(e), R2(e)``.
+
+    Sample copy ``c`` selects H_e vertices ``(d, x)``, ``x`` an endpoint
+    of ``e``, among the candidates ``d`` in ``Q_c`` that S_c joins to
+    ``a`` or ``b``.  Oracle ``i`` decides with its own functions
+    ``KWiseHash(2, seeds[i], "threepass.select[c]")``:
+
+    * paper mode: a candidate joined to both endpoints takes
+      ``choice4((d, e), 0.4, 0.4, q)`` (``(d, a)``, ``(d, b)``, both or
+      neither); one joined to a single endpoint ``x`` keeps ``(d, x)``
+      iff ``bernoulli((d, e), 0.4 + q)``.
+    * direct mode: each present ``(d, x)`` is kept iff
+      ``bernoulli((d, x, e), 0.4)``.
+
+    All oracles' candidates are decided at once: the tuple keys are
+    folded from member-key columns, every key is evaluated under its own
+    oracle's coefficients, and the decisions apply the scalar methods'
+    exact rules (the integer Bernoulli threshold; unit uniforms against
+    ``0.4``, ``0.4 + 0.4`` and ``0.4 + 0.4 + q``).
+    """
+    if not edges:
+        return []
+    q, effective_p = _selection_rates(p)
+    hangings: List[Tuple[Hanging, Hanging]] = [({}, {}) for _ in edges]
+    endpoint_keys = np.stack(
+        [stable_key_array([e[0] for e in edges]), stable_key_array([e[1] for e in edges])],
+        axis=1,
+    )
+    edge_keys = stable_tuple_keys([endpoint_keys[:, 0], endpoint_keys[:, 1]])
+    for copy in (0, 1):
+        q_set, s_adj = q_sets[copy], s_adjs[copy]
+        near: Dict[Vertex, Set[Vertex]] = {}  # memo: Q-filtered S-neighbours
+
+        def near_of(x: Vertex) -> Set[Vertex]:
+            found = near.get(x)
+            if found is None:
+                found = near[x] = {d for d in s_adj.get(x, ()) if d in q_set}
+            return found
+
+        # one entry per candidate: its oracle, d, and the endpoints of e
+        # that S joins d to (bit 1 = a, bit 2 = b)
+        owners: List[int] = []
+        ds: List[Vertex] = []
+        joined: List[int] = []
+        for i, (a, b) in enumerate(edges):
+            near_a, near_b = near_of(a), near_of(b)
+            for d in near_a:
+                if d != b:
+                    owners.append(i)
+                    ds.append(d)
+                    joined.append(3 if d in near_b else 1)
+            for d in near_b:
+                if d != a and d not in near_a:
+                    owners.append(i)
+                    ds.append(d)
+                    joined.append(2)
+        if not owners:
+            continue
+        stack = HashStack.draw(2, f"threepass.select[{copy}]", seeds)
+        owner = np.array(owners, dtype=np.intp)
+        to = np.array(joined, dtype=np.int64)
+        d_keys = stable_key_array(ds)
+        # kept[side]: the candidates whose (d, endpoint side of e) is selected
+        if q is None:
+            kept = []
+            for side in (0, 1):
+                rows = np.flatnonzero(to & (1 << side))
+                keys = stable_tuple_keys(
+                    [d_keys[rows], endpoint_keys[owner[rows], side], edge_keys[owner[rows]]]
+                )
+                kept.append(rows[stack.values_at(owner[rows], keys) < bernoulli_threshold(0.4)])
+        else:
+            values = stack.values_at(owner, stable_tuple_keys([d_keys, edge_keys[owner]]))
+            # joined to both: choice4 gives 0 (a), 1 (b), 2 (both) or 3 (neither)
+            choice = np.searchsorted(
+                [0.4, 0.4 + 0.4, 0.4 + 0.4 + q], unit_uniforms(values), side="right"
+            )
+            # joined to one: bernoulli at 0.4 + q
+            single = values < bernoulli_threshold(0.4 + q)
+            kept = [
+                np.flatnonzero(
+                    np.where(to == 3, (choice == side) | (choice == 2), single & (to == 1 << side))
+                )
+                for side in (0, 1)
+            ]
+        for side, rows in enumerate(kept):
+            for r in rows.tolist():
+                i, d = owners[r], ds[r]
+                x = edges[i][side]
+                hangings[i][copy].setdefault(x, {})[d] = normalize_edge(d, x)
+    return [
+        _EdgeOracle(e, hanging, s_adjs, effective_p, m_bound)
+        for e, hanging in zip(edges, hangings)
+    ]
 
 
 class FourCycleArbitraryThreePass:
@@ -247,25 +333,38 @@ class FourCycleArbitraryThreePass:
             {},
         )
         with pass_span("pass1:sample", meter):
-            for u, v in stream.edges():
-                edge = normalize_edge(u, v)
-                if edge_hash.bernoulli(edge, p):
-                    s0_adj.setdefault(u, set()).add(v)
-                    s0_adj.setdefault(v, set()).add(u)
-                    meter.add("S0_edges")
-                for q_set, s_adj, q_hash in (
-                    (q_sets[0], s_adjs[0], q1_hash),
-                    (q_sets[1], s_adjs[1], q2_hash),
-                ):
-                    hit = False
-                    for w in (u, v):
-                        if q_hash.bernoulli(w, p):
-                            q_set.add(w)
-                            hit = True
-                    if hit:
-                        s_adj.setdefault(u, set()).add(v)
-                        s_adj.setdefault(v, set()).add(u)
-                        meter.add("S1_S2_edges")
+            edges = stream.edges()
+            while True:
+                chunk = list(islice(edges, _PASS1_CHUNK))
+                if not chunk:
+                    break
+                in_s0 = edge_hash.bernoulli_array(
+                    stable_key_array([normalize_edge(u, v) for u, v in chunk]), p
+                ).tolist()
+                u_keys = stable_key_array([u for u, _ in chunk])
+                v_keys = stable_key_array([v for _, v in chunk])
+                in_q = [
+                    (
+                        q_hash.bernoulli_array(u_keys, p).tolist(),
+                        q_hash.bernoulli_array(v_keys, p).tolist(),
+                    )
+                    for q_hash in (q1_hash, q2_hash)
+                ]
+                # insert in stream order, with the meter's per-hit adds
+                for j, (u, v) in enumerate(chunk):
+                    if in_s0[j]:
+                        s0_adj.setdefault(u, set()).add(v)
+                        s0_adj.setdefault(v, set()).add(u)
+                        meter.add("S0_edges")
+                    for q_set, s_adj, (u_in, v_in) in zip(q_sets, s_adjs, in_q):
+                        if u_in[j]:
+                            q_set.add(u)
+                        if v_in[j]:
+                            q_set.add(v)
+                        if u_in[j] or v_in[j]:
+                            s_adj.setdefault(u, set()).add(v)
+                            s_adj.setdefault(v, set()).add(u)
+                            meter.add("S1_S2_edges")
 
         # ---- pass 2: store cycles completed by three S0 edges --------
         stored: List[Tuple[Edge, Cycle]] = []
@@ -278,53 +377,50 @@ class FourCycleArbitraryThreePass:
 
         # ---- pass 3: classify every involved edge --------------------
         eta_sqrt_t = self.eta * math.sqrt(self.t_guess)
-        oracles: Dict[Edge, _EdgeOracle] = {}
-        edge_index: Dict[Vertex, List[_EdgeOracle]] = {}
-        for _, (a, b, c_v, d_v) in stored:
-            for e in (
-                normalize_edge(a, b),
-                normalize_edge(b, c_v),
-                normalize_edge(c_v, d_v),
-                normalize_edge(d_v, a),
-            ):
-                if e in oracles:
-                    continue
-                oracle = _EdgeOracle(
-                    edge=e,
-                    q1=q_sets[0],
-                    q2=q_sets[1],
-                    s1_adj=s_adjs[0],
-                    s2_adj=s_adjs[1],
-                    p=p,
-                    m_bound=eta_sqrt_t,
-                    seed=self.seed * 100_003 + len(oracles),
+        # every edge of a stored cycle, in first-named order: oracle i's
+        # seed is ``seed * 100_003 + i``
+        oracle_edges = list(
+            dict.fromkeys(
+                e
+                for _, (a, b, c_v, d_v) in stored
+                for e in (
+                    normalize_edge(a, b),
+                    normalize_edge(b, c_v),
+                    normalize_edge(c_v, d_v),
+                    normalize_edge(d_v, a),
                 )
-                oracles[e] = oracle
-                for w in e:
-                    edge_index.setdefault(w, []).append(oracle)
+            )
+        )
+        oracles = _build_oracles(
+            oracle_edges,
+            q_sets,
+            s_adjs,
+            p,
+            eta_sqrt_t,
+            [self.seed * 100_003 + i for i in range(len(oracle_edges))],
+        )
+        edge_index: Dict[Vertex, List[_EdgeOracle]] = {}
+        for oracle in oracles:
+            for w in oracle.edge:
+                edge_index.setdefault(w, []).append(oracle)
 
         # always taken, even with no stored cycle: Theorem 5.3 spends
         # three passes whatever the sample holds
         with pass_span("pass3:classify", meter) as span:
             for u, v in stream.edges():
                 f = normalize_edge(u, v)
-                seen: Set[Edge] = set()
-                for w in (u, v):
-                    for oracle in edge_index.get(w, ()):
-                        if oracle.edge == f or oracle.edge in seen:
-                            continue
-                        seen.add(oracle.edge)
-                        # f must share exactly one endpoint with e
-                        a, b = oracle.edge
-                        shared = (u in (a, b)) + (v in (a, b))
-                        if shared == 1:
-                            oracle.process_stream_edge(f)
-            for oracle in oracles.values():
+                # an oracle found through endpoint w of f meets f in w
+                # alone, unless it is f's own
+                for shared, outer in ((u, v), (v, u)):
+                    for oracle in edge_index.get(shared, ()):
+                        if oracle.edge != f:
+                            oracle.process_stream_edge(f, shared, outer)
+            for oracle in oracles:
                 meter.add("oracle_counters", oracle.space_items)
             span.set("num_oracles", len(oracles))
 
         heavy: Dict[Edge, bool] = {
-            e: oracle.classify(eta_sqrt_t) for e, oracle in oracles.items()
+            oracle.edge: oracle.classify(eta_sqrt_t) for oracle in oracles
         }
 
         # ---- combine --------------------------------------------------
@@ -347,7 +443,7 @@ class FourCycleArbitraryThreePass:
                 a1 += 1
         estimate = a0 / (4.0 * p**3) + a1 / (p**3)
 
-        usefuls = [oracle.useful for oracle in oracles.values()]
+        usefuls = [oracle.useful for oracle in oracles]
         details = {
             "p": p,
             "eta_sqrt_t": eta_sqrt_t,

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Union
+from typing import Iterable, List, Union
 
 import numpy as np
 
@@ -76,6 +76,31 @@ def _encode(field: Field) -> bytes:
     )
 
 
+def derive_seeds(component: str, *fields: Field, seeds: Iterable[Field]) -> List[int]:
+    """:func:`derive_seed` for each of ``seeds``, sharing one digest prefix.
+
+    The prefix over ``(component, fields)`` is hashed once and copied per
+    seed, so a batch of components that differ only in their user seed
+    (say, one hash function per oracle) costs one short digest each.
+    """
+    if not isinstance(component, str) or not component:
+        raise TypeError(f"component tag must be a non-empty str, got {component!r}")
+    prefix = hashlib.sha256()
+    prefix.update(SCHEME.encode("ascii"))
+    prefix.update(b"\x00")
+    prefix.update(_encode(component))
+    for field in fields:
+        prefix.update(b"\x1f")
+        prefix.update(_encode(field))
+    prefix.update(b"\x1e")
+    derived = []
+    for seed in seeds:
+        digest = prefix.copy()
+        digest.update(_encode(seed))
+        derived.append(int.from_bytes(digest.digest()[:8], "big") >> 1)  # 63 bits
+    return derived
+
+
 def derive_seed(component: str, *fields: Field, seed: Field = 0) -> int:
     """A 63-bit seed unique to ``(component, fields, seed)``.
 
@@ -88,18 +113,7 @@ def derive_seed(component: str, *fields: Field, seed: Field = 0) -> int:
         seed: the user-facing seed (keyword-only so call sites read as
             ``derive_seed("tag", k, seed=seed)``).
     """
-    if not isinstance(component, str) or not component:
-        raise TypeError(f"component tag must be a non-empty str, got {component!r}")
-    digest = hashlib.sha256()
-    digest.update(SCHEME.encode("ascii"))
-    digest.update(b"\x00")
-    digest.update(_encode(component))
-    for field in fields:
-        digest.update(b"\x1f")
-        digest.update(_encode(field))
-    digest.update(b"\x1e")
-    digest.update(_encode(seed))
-    return int.from_bytes(digest.digest()[:8], "big") >> 1  # 63 bits, non-negative
+    return derive_seeds(component, *fields, seeds=(seed,))[0]
 
 
 def component_rng(component: str, *fields: Field, seed: Field = 0) -> random.Random:

@@ -18,23 +18,31 @@ per-process hash randomization.
 
 Every scalar method has an exact vectorized counterpart over uint64
 arrays.  :func:`stable_key_array` folds int keys and int pairs with
-array arithmetic, and the Mersenne ``mulmod`` splits operands into
-30/31-bit halves so each Horner step needs a single reduction.
-:class:`HashStack` evaluates many same-degree functions over one key
-array as a ``(functions x keys)`` matrix, which is how a bank of
-sketches hashes a batch under all its rows at once.  The scalar path
-stays the reference the vectorized one is tested against.
+array arithmetic, and :func:`stable_tuple_keys` folds tuples from the
+key columns of their members, so nested keys such as ``(d, (a, b))``
+need no per-key recursion.  The Mersenne ``mulmod`` splits operands
+into 30/31-bit halves so each Horner step needs a single reduction.
+:class:`HashStack` evaluates many same-degree functions together:
+:meth:`~HashStack.values` hashes one key array under every function (a
+``(functions x keys)`` matrix, how a bank of sketches hashes a batch
+under all its rows), and :meth:`~HashStack.values_at` hashes each key
+under its own function (how many small samplers, one function each,
+decide their candidates at once).  :meth:`HashStack.draw` and
+:func:`draw_coefficients` draw the coefficients of many functions that
+differ only in their seed without building them one by one.  The scalar
+path stays the reference the vectorized one is tested against.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from itertools import chain
 from typing import Hashable, Iterable, List, Sequence
 
 import numpy as np
 
-from ..seeding import component_rng
+from ..seeding import Field, derive_seeds
 
 MERSENNE_PRIME = (1 << 61) - 1
 
@@ -88,26 +96,24 @@ def _mul_terms(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
     return total
 
 
-def _mulmod_p(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
-    """``a * b mod (2**61 - 1)`` for uint64 arrays with entries ``< 2**61``,
-    with a single fold at the end (see :func:`_mul_terms`)."""
-    return _mod_p(_mul_terms(a, b))
-
-
 def _horner(coeffs: "np.ndarray", x: "np.ndarray") -> "np.ndarray":
-    """Evaluate ``F`` polynomials at ``N`` points: a ``(F, N)`` uint64 matrix.
+    """Evaluate ``F`` polynomials, highest degree first, at folded keys.
 
-    ``coeffs`` is an ``(F, k)`` uint64 matrix, highest degree first, as
-    :class:`KWiseHash` stores them; ``x`` holds folded keys below ``P``.
-    Each Horner step ``acc * x + c`` is reduced with one fold.
+    ``coeffs`` is an ``(F, k)`` uint64 matrix, as :class:`KWiseHash`
+    stores its coefficients; ``x`` holds folded keys below ``P`` and
+    broadcasts against an ``(F, 1)`` column.  A flat ``(N,)`` ``x``
+    gives the ``(F, N)`` matrix of every function at every key; an
+    ``(F, 1)`` ``x`` gives function ``i`` at key ``i``.  Each Horner
+    step ``acc * x + c`` is reduced with one fold.
     """
     acc = coeffs[:, :1]
     for j in range(1, coeffs.shape[1]):
         total = _mul_terms(acc, x)
         total += coeffs[:, j : j + 1]
         acc = _mod_p(total)
-    if acc.shape[1] != x.size:  # k == 1: a constant function
-        acc = np.repeat(acc, x.size, axis=1)
+    shape = np.broadcast_shapes(acc.shape, x.shape)
+    if acc.shape != shape:  # k == 1: a constant function
+        acc = np.broadcast_to(acc, shape).copy()
     return acc
 
 
@@ -119,9 +125,9 @@ def _only_ints(items: Iterable[object]) -> bool:
     )
 
 
-# stable_key((u, v)) = ((104729 * M + key(u) + 1) * M + key(v) + 1) mod P
+# stable_key of a tuple: acc = 104729, then acc = acc * M + key(item) + 1
+_TUPLE_SEED = np.uint64(104729)
 _TUPLE_MUL = np.uint64(1000003)
-_PAIR_OFFSET = np.uint64(104729 * 1000003 + 1)
 
 
 def _fold_ints(values: "np.ndarray") -> "np.ndarray":
@@ -165,13 +171,29 @@ def stable_key_array(keys: Iterable[Hashable]) -> "np.ndarray":
     ):
         pairs = _as_int64(materialized)
         if pairs is not None:
-            acc = _mulmod_p(_mod_p(_fold_ints(pairs[:, 0]) + _PAIR_OFFSET), _TUPLE_MUL)
-            return _mod_p(acc + _fold_ints(pairs[:, 1]) + _ONE)
+            return stable_tuple_keys([_fold_ints(pairs[:, 0]), _fold_ints(pairs[:, 1])])
     return np.fromiter(
         (stable_key(key) for key in materialized),
         dtype=np.uint64,
         count=len(materialized),
     )
+
+
+def stable_tuple_keys(columns: Sequence["np.ndarray"]) -> "np.ndarray":
+    """:func:`stable_key` of tuples, given their members' keys by column.
+
+    ``columns[j]`` holds the :func:`stable_key` of member ``j`` of each
+    tuple (uint64 below ``P``, e.g. from :func:`stable_key_array`), so a
+    nested key such as ``(d, x, (a, b))`` folds from the columns of
+    ``d``, ``x`` and the pair ``(a, b)``.  Each step is one ``mulmod``
+    plus the member key, reduced with one fold.
+    """
+    if not columns:
+        raise ValueError("need at least one member column")
+    acc = _TUPLE_SEED
+    for column in columns:
+        acc = _mod_p(_mul_terms(acc, _TUPLE_MUL) + column + _ONE)
+    return acc
 
 
 def stable_key(value: Hashable) -> int:
@@ -217,19 +239,14 @@ class KWiseHash:
     """
 
     def __init__(self, k: int, seed: int, namespace: str = "") -> None:
-        if k < 1:
-            raise ValueError(f"independence degree must be >= 1, got {k}")
         # Coefficients come from a namespaced digest of (k, namespace,
         # seed) — not the raw seed, and not a tuple-``repr`` — so two
         # consumers of the family given the same integer seed draw
         # decorrelated functions as long as their namespaces differ.
-        rng = component_rng("sketch:kwise-hash", k, namespace, seed=seed)
         self.k = k
         self.seed = seed
         self.namespace = namespace
-        # leading coefficient nonzero keeps the polynomial degree exact
-        self._coeffs: List[int] = [rng.randrange(1, MERSENNE_PRIME)]
-        self._coeffs.extend(rng.randrange(MERSENNE_PRIME) for _ in range(k - 1))
+        self._coeffs: List[int] = draw_coefficients(k, namespace, [seed])[0]
 
     def value(self, key: Hashable) -> int:
         """The raw hash value in ``[0, MERSENNE_PRIME)``."""
@@ -290,12 +307,7 @@ class KWiseHash:
 
     def bernoulli_array(self, stable_keys: "np.ndarray", p: float) -> "np.ndarray":
         """Vectorized :meth:`bernoulli` (bool array)."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {p}")
-        # The scalar path compares the exact integer value against the
-        # float p*P; ``value < t`` over integers is ``value < ceil(t)``,
-        # which keeps the comparison exact in uint64.
-        threshold = np.uint64(math.ceil(p * MERSENNE_PRIME))
+        threshold = bernoulli_threshold(p)
         return self.values_array(stable_keys) < threshold
 
     def signs_array(self, stable_keys: "np.ndarray") -> "np.ndarray":
@@ -327,6 +339,42 @@ class KWiseHash:
         return 3
 
 
+def draw_coefficients(k: int, namespace: str, seeds: Iterable[Field]) -> List[List[int]]:
+    """The coefficients of ``KWiseHash(k, seed, namespace)`` for each seed.
+
+    The one draw :class:`KWiseHash` itself uses: seeds are derived with
+    one shared digest prefix (:func:`~repro.seeding.derive_seeds`), and
+    one generator is reseeded per function, so a batch of functions
+    costs no object construction per member.
+    """
+    if k < 1:
+        raise ValueError(f"independence degree must be >= 1, got {k}")
+    rows: List[List[int]] = []
+    rng = None
+    for derived in derive_seeds("sketch:kwise-hash", k, namespace, seeds=seeds):
+        if rng is None:
+            rng = random.Random(derived)
+        else:
+            rng.seed(derived)
+        # leading coefficient nonzero keeps the polynomial degree exact
+        row = [rng.randrange(1, MERSENNE_PRIME)]
+        row.extend(rng.randrange(MERSENNE_PRIME) for _ in range(k - 1))
+        rows.append(row)
+    return rows
+
+
+def bernoulli_threshold(p: float) -> "np.uint64":
+    """The uint64 bound ``t`` with ``value < t`` iff :meth:`KWiseHash.bernoulli`.
+
+    The scalar path compares the exact integer value against the float
+    ``p * P``; over integers ``value < p * P`` is ``value < ceil(p * P)``,
+    which keeps the comparison exact in uint64.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must be in [0, 1], got {p}")
+    return np.uint64(math.ceil(p * MERSENNE_PRIME))
+
+
 def unit_uniforms(values: "np.ndarray") -> "np.ndarray":
     """:meth:`KWiseHash.uniform` of raw hash values: ``(v + 1) / 2^61``.
 
@@ -344,7 +392,8 @@ class HashStack:
     uint64 matrix, so hashing a batch of keys under many functions (a
     bank of sketches with several rows each) costs a handful of numpy
     calls instead of one per function.  Row ``i`` equals
-    ``hashes[i].values_array(keys)`` exactly.
+    ``hashes[i].values_array(keys)`` exactly.  :meth:`values_at`
+    evaluates one chosen row per key instead.
     """
 
     def __init__(self, hashes: Sequence[KWiseHash]) -> None:
@@ -353,9 +402,27 @@ class HashStack:
             raise ValueError(f"need functions of one degree, got degrees {sorted(degrees)}")
         self._coeffs = np.array([h._coeffs for h in hashes], dtype=np.uint64)
 
+    @classmethod
+    def draw(cls, k: int, namespace: str, seeds: Sequence[Field]) -> "HashStack":
+        """The stack of ``KWiseHash(k, seed, namespace)`` over ``seeds``,
+        drawn with :func:`draw_coefficients` instead of one by one."""
+        stack = cls.__new__(cls)
+        stack._coeffs = np.array(
+            draw_coefficients(k, namespace, seeds), dtype=np.uint64
+        ).reshape(len(seeds), k)
+        return stack
+
     def values(self, stable_keys: "np.ndarray") -> "np.ndarray":
         """A ``(len(hashes), len(stable_keys))`` matrix of raw hash values."""
         return _horner(self._coeffs, np.asarray(stable_keys, dtype=np.uint64))
+
+    def values_at(self, rows: "np.ndarray", stable_keys: "np.ndarray") -> "np.ndarray":
+        """Row ``rows[i]`` evaluated at key ``i``: a flat uint64 array.
+
+        Entry ``i`` equals ``hashes[rows[i]].values_array(stable_keys)[i]``.
+        """
+        x = np.asarray(stable_keys, dtype=np.uint64).reshape(-1, 1)
+        return _horner(self._coeffs[np.asarray(rows, dtype=np.intp)], x)[:, 0]
 
 
 def hash_family(

@@ -119,25 +119,23 @@ def _kwise_probe(namespace: str, k: int = 2) -> SeedProbe:
     )
 
 
+#: Generators that draw from ``generator_rng`` (numpy PCG64) ...
 _NUMPY_GENERATORS = (
     "erdos-renyi",
     "gnm",
-    "barabasi-albert",
     "chung-lu",
+    "random-bipartite",
+)
+
+#: ... and those that draw from ``generator_scalar_rng`` (random.Random).
+_SCALAR_GENERATORS = (
+    "barabasi-albert",
     "power-law.weights",
     "user-item",
-    "random-bipartite",
     "planted-triangles",
     "planted-four-cycles",
     "planted-diamonds",
     "heavy-edge",
-)
-
-_SCALAR_GENERATORS = (
-    "erdos-renyi-loop",
-    "gnm-loop",
-    "chung-lu-loop",
-    "random-bipartite-loop",
 )
 
 #: KWiseHash namespaces in live use across the tree.  Probing several

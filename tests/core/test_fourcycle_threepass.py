@@ -1,6 +1,12 @@
 """Theorem 5.3: the three-pass arbitrary-order four-cycle counter."""
 
+import ast
+import hashlib
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +20,7 @@ from repro.graphs import (
     planted_diamonds,
     planted_four_cycles,
 )
-from repro.streams import RandomOrderStream
+from repro.streams import ArbitraryOrderStream, RandomOrderStream
 
 
 class TestSubsampleQ:
@@ -130,3 +136,135 @@ class TestSampledMode:
         assert result.details["a0"] + result.details["a1"] <= result.details[
             "stored_pairs"
         ]
+
+
+def _golden_graphs():
+    diamonds = planted_diamonds(600, [10] * 12, extra_edges=150, seed=4)
+    mixed = disjoint_union(
+        [complete_bipartite(2, 40), planted_diamonds(500, [8] * 10, extra_edges=120, seed=7)]
+    )
+    return diamonds, mixed
+
+
+def _as_str(graph):
+    return graph.relabeled({v: f"v{v}" for v in graph.vertices()})
+
+
+def _as_negative(graph):
+    return graph.relabeled({v: -(v + 1) * 10**15 for v in graph.vertices()})
+
+
+# (graph, order, kwargs) -> (estimate, passes, space.peak, meter mutations,
+# sha256 prefix of repr(space.timeline()), space.breakdown(), details).
+# Paper mode is p < 0.5, direct mode p >= 0.5; every case has heavy edges.
+_GOLDEN = {
+    "paper-int-random": (
+        ("diamonds", None, "random", dict(epsilon=0.3, eta=1.0, c=0.15)),
+        (453.6807404433007, 3, 854, 726, "8ae0fbb5abcb00b5",
+         {"S0_edges": 131, "S1_S2_edges": 469, "stored_cycles": 66, "oracle_counters": 188},
+         {"p": 0.3457405429380435, "eta_sqrt_t": 23.2379000772445, "stored_pairs": 66,
+          "a0": 39, "a1": 9, "num_oracles": 60, "num_heavy_edges": 13,
+          "useful_heavy_vertices": 79, "useful_heavy_counters": 8}),
+    ),
+    "paper-str-arbitrary": (
+        ("mixed", _as_str, "arbitrary", dict(epsilon=0.3, eta=0.3, c=0.2)),
+        (203.14128079217278, 3, 1457, 1239, "753bcc1167bec193",
+         {"S1_S2_edges": 508, "S0_edges": 147, "stored_cycles": 490, "oracle_counters": 312},
+         {"p": 0.3894583503093328, "eta_sqrt_t": 9.767292357659823, "stored_pairs": 490,
+          "a0": 16, "a1": 8, "num_oracles": 94, "num_heavy_edges": 51,
+          "useful_heavy_vertices": 122, "useful_heavy_counters": 30}),
+    ),
+    "paper-negint-random": (
+        ("diamonds", _as_negative, "random", dict(epsilon=0.3, eta=0.2, c=0.2)),
+        (63.798854124839146, 3, 1091, 915, "7c725f80e56753d0",
+         {"S1_S2_edges": 537, "S0_edges": 178, "stored_cycles": 126, "oracle_counters": 250},
+         {"p": 0.4609873905840581, "eta_sqrt_t": 4.6475800154489, "stored_pairs": 126,
+          "a0": 1, "a1": 6, "num_oracles": 74, "num_heavy_edges": 46,
+          "useful_heavy_vertices": 121, "useful_heavy_counters": 28}),
+    ),
+    "direct-int-arbitrary": (
+        ("diamonds", None, "arbitrary", dict(epsilon=0.3, eta=1.0, c=0.3)),
+        (531.5626008860673, 3, 2356, 1894, "96c236a2e4ac753f",
+         {"S0_edges": 268, "S1_S2_edges": 718, "stored_cycles": 690, "oracle_counters": 680},
+         {"p": 0.691481085876087, "eta_sqrt_t": 23.2379000772445, "stored_pairs": 690,
+          "a0": 611, "a1": 23, "num_oracles": 218, "num_heavy_edges": 9,
+          "useful_heavy_vertices": 93, "useful_heavy_counters": 26}),
+    ),
+    "direct-str-random": (
+        ("mixed", _as_str, "random", dict(epsilon=0.3, eta=0.5, c=0.35)),
+        (330.0799042609455, 3, 3218, 2795, "47d8a5dd8ec04fce",
+         {"S0_edges": 260, "S1_S2_edges": 652, "stored_cycles": 1683, "oracle_counters": 623},
+         {"p": 0.6815521130413323, "eta_sqrt_t": 16.278820596099706, "stored_pairs": 1683,
+          "a0": 278, "a1": 35, "num_oracles": 200, "num_heavy_edges": 71,
+          "useful_heavy_vertices": 87, "useful_heavy_counters": 23}),
+    ),
+    "saturated-int-random": (
+        ("mixed", None, "random", dict(epsilon=0.3, eta=1.0, c=1.0)),
+        (290.0, 3, 6082, 5560, "5de252f1545e5b41",
+         {"S0_edges": 360, "S1_S2_edges": 720, "stored_cycles": 4240, "oracle_counters": 762},
+         {"p": 1.0, "eta_sqrt_t": 32.55764119219941, "stored_pairs": 4240,
+          "a0": 1120, "a1": 10, "num_oracles": 240, "num_heavy_edges": 68,
+          "useful_heavy_vertices": 104, "useful_heavy_counters": 42}),
+    ),
+}
+
+
+def _observe(case):
+    """One golden run's outputs, in the order ``_GOLDEN`` pins them."""
+    graph_name, relabel, order, kwargs = _GOLDEN[case][0]
+    diamonds, mixed = _golden_graphs()
+    graph = {"diamonds": diamonds, "mixed": mixed}[graph_name]
+    if relabel is not None:
+        graph = relabel(graph)
+    if order == "random":
+        stream = RandomOrderStream(graph, seed=3)
+    else:
+        stream = ArbitraryOrderStream.from_graph(graph)
+    result = FourCycleArbitraryThreePass(
+        t_guess=four_cycle_count(graph), seed=1, use_log_factor=False, **kwargs
+    ).run(stream)
+    timeline = hashlib.sha256(repr(result.space.timeline()).encode()).hexdigest()[:16]
+    return (
+        result.estimate,
+        result.passes,
+        result.space.peak,
+        result.space.mutations,
+        timeline,
+        result.space.breakdown(),
+        result.details,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_golden_runs(case):
+    """Pinned outputs: estimate, passes, space (peak, per-category
+    peaks and the meter's mutation sequence) and every details entry.
+
+    The oracles' seeds follow the order in which stored cycles first
+    name an edge, and for str vertices that order follows set iteration,
+    which depends on ``PYTHONHASHSEED``.  Those cases run in a child
+    interpreter with the hash seed fixed to 0.
+    """
+    if "-str-" not in case:
+        assert _observe(case) == _GOLDEN[case][1]
+        return
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+    )
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from tests.core.test_fourcycle_threepass import _observe; "
+            f"print(repr(_observe({case!r})))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert ast.literal_eval(completed.stdout) == _GOLDEN[case][1]

@@ -7,16 +7,20 @@ and the random-order algorithm's common-neighbor primitive.
 """
 
 import math
+import random
 
 import pytest
 
 from repro.core.fourcycle_adjacency_diamond import _ClassInstance, _choose2
 from repro.core.fourcycle_arbitrary_threepass import (
     FourCycleArbitraryThreePass,
-    _EdgeOracle,
+    _build_oracles,
+    _selection_rates,
     subsample_q,
 )
 from repro.core.triangle_random_order import _adj_add, _common_neighbors
+from repro.graphs import normalize_edge
+from repro.sketches import KWiseHash
 
 
 class TestCommonNeighbors:
@@ -141,40 +145,83 @@ class TestEdgeOracleSampling:
         included = 0
         total = 0
         for seed in range(300):
-            import random
-
             rng = random.Random(seed)
             q_set = {f"d{i}" for i in range(20) if rng.random() < p}
             s_adj = {}
             for d in q_set:
                 s_adj.setdefault(d, set()).add(a)
                 s_adj.setdefault(a, set()).add(d)
-            oracle = _EdgeOracle(
-                edge=(a, b),
-                q1=q_set,
-                q2=set(),
-                s1_adj=s_adj,
-                s2_adj={},
-                p=p,
-                m_bound=10.0,
-                seed=seed,
+            (oracle,) = _build_oracles(
+                [(a, b)], (q_set, set()), (s_adj, {}), p=p, m_bound=10.0, seeds=[seed]
             )
             # each of the 20 candidate H_e vertices (d, a) could be in R1
-            included += len(oracle._r[0])
+            included += len(oracle.useful.r1)
             total += 20
         rate = included / total
         assert abs(rate - expected) < 0.03
 
     def test_direct_mode_for_large_p(self):
-        oracle = _EdgeOracle(
-            edge=("a", "b"),
-            q1={"d"},
-            q2=set(),
-            s1_adj={"d": {"a"}, "a": {"d"}},
-            s2_adj={},
+        (oracle,) = _build_oracles(
+            [("a", "b")],
+            ({"d"}, set()),
+            ({"d": {"a"}, "a": {"d"}}, {}),
             p=1.0,
             m_bound=10.0,
-            seed=1,
+            seeds=[1],
         )
-        assert oracle._mode == "direct"
+        q, _ = _selection_rates(1.0)
+        assert q is None  # direct mode
         assert oracle.effective_p == pytest.approx(0.4)
+
+    @staticmethod
+    def _scalar_selection(edge, q_set, adj, p, seed, copy):
+        """The one-oracle-at-a-time reference: scalar ``choice4`` and
+        ``bernoulli`` on nested tuple keys, candidate by candidate."""
+        a, b = edge
+        hash_fn = KWiseHash(k=2, seed=seed, namespace=f"threepass.select[{copy}]")
+        q, _ = _selection_rates(p)
+        candidates = set()
+        for x in (a, b):
+            candidates.update(d for d in adj.get(x, ()) if d in q_set)
+        candidates -= {a, b}
+        selected = set()
+        for d in candidates:
+            present = [x for x in (a, b) if x in adj.get(d, ())]
+            if q is None:
+                for x in present:
+                    if hash_fn.bernoulli((d, x, edge), 0.4):
+                        selected.add(normalize_edge(d, x))
+            elif len(present) == 2:
+                choice = hash_fn.choice4((d, edge), 0.4, 0.4, q)
+                if choice in (0, 2):
+                    selected.add(normalize_edge(d, a))
+                if choice in (1, 2):
+                    selected.add(normalize_edge(d, b))
+            elif hash_fn.bernoulli((d, edge), 0.4 + q):
+                selected.add(normalize_edge(d, present[0]))
+        return selected
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.45, 0.7, 1.0])
+    @pytest.mark.parametrize(
+        "label", [lambda v: v, lambda v: f"v{v}", lambda v: -v * 7919], ids=["int", "str", "negint"]
+    )
+    def test_batched_selection_equals_scalar_reference(self, p, label):
+        rng = random.Random(int(p * 100))
+        n = 40
+        q_sets, s_adjs = (set(), set()), ({}, {})
+        for copy in (0, 1):
+            q_sets[copy].update(label(v) for v in range(n) if rng.random() < 0.5)
+            for _ in range(150):
+                u, v = rng.sample(range(n), 2)
+                u, v = label(u), label(v)
+                s_adjs[copy].setdefault(u, set()).add(v)
+                s_adjs[copy].setdefault(v, set()).add(u)
+        edges = sorted({normalize_edge(*map(label, rng.sample(range(n), 2))) for _ in range(60)})
+        seeds = [11 * 100_003 + i for i in range(len(edges))]
+        oracles = _build_oracles(edges, q_sets, s_adjs, p=p, m_bound=10.0, seeds=seeds)
+        for e, seed, oracle in zip(edges, seeds, oracles):
+            assert oracle.edge == e
+            for copy, members in enumerate((oracle.useful.r1, oracle.useful.r2)):
+                assert members == self._scalar_selection(
+                    e, q_sets[copy], s_adjs[copy], p, seed, copy
+                )

@@ -134,3 +134,28 @@ class TestKWiseHash:
         # should accept all stable_key-supported types without error
         for key in (7, "v7", ("e", 1, 2), frozenset({1, 2})):
             assert 0 <= h.value(key) < MERSENNE_PRIME
+
+
+class TestPinnedValues:
+    """Outputs of the scalar reference path, pinned so that a change to
+    how coefficients are drawn or keys are folded cannot go unnoticed."""
+
+    def test_coefficients(self):
+        assert KWiseHash(k=2, seed=100_003, namespace="threepass.select[1]")._coeffs == [
+            670829460613301604,
+            2045243249633982163,
+        ]
+        assert KWiseHash(k=4, seed=5, namespace="countsketch")._coeffs == [
+            1111786066576917331,
+            13446818363623809,
+            187432850891124163,
+            436872567424128707,
+        ]
+        assert KWiseHash(k=1, seed=5)._coeffs == [1963970042296486979]
+
+    def test_nested_tuple_keys(self):
+        assert stable_key((-1, (-(2**63), 2**63 - 1))) == 209459256744885112
+        assert stable_key((7, -3, (0, -1))) == 963665979341209841
+        assert stable_key(("d", "x", ("a", "b"))) == 1668675619419490017
+        h = KWiseHash(k=2, seed=3, namespace="threepass.select[0]")
+        assert h.value((-1, (-(2**63), 2**63 - 1))) == 1170547682927864455

@@ -106,3 +106,13 @@ class TestSharedSeedRegression:
         assert [a._rng.random() for _ in range(16)] != [
             b._rng.random() for _ in range(16)
         ]
+
+
+def test_pinned_derivations():
+    """The scheme's outputs, pinned: any change to the encoding or the
+    digest path must be a new ``SCHEME``, never a silent re-mix."""
+    assert [
+        derive_seed("sketch:kwise-hash", 2, "threepass.select[0]", seed=s)
+        for s in (0, 100_003, -7)
+    ] == [9063989129962576852, 6133857995225482819, 5151404061521051054]
+    assert derive_seed("a.b", (1, "x"), None, seed="s") == 5742442910774447278

@@ -1,13 +1,21 @@
 """Seed audit: the fixed tree is clean, and a reconstruction of the
 pre-fix shared-raw-seed wiring is flagged."""
 
+import inspect
 import random
+import re
 
 import pytest
 
 from repro.verify import SeedCollision, SeedProbe, audit_seeds, default_probes
 from repro.verify.report import render_seed_audit
-from repro.verify.seeds import AUDIT_SEEDS, DRAWS
+from repro.graphs import generators
+from repro.verify.seeds import (
+    AUDIT_SEEDS,
+    DRAWS,
+    _NUMPY_GENERATORS,
+    _SCALAR_GENERATORS,
+)
 
 
 def _raw_seed_probe(name: str) -> SeedProbe:
@@ -35,6 +43,15 @@ class TestDefaultRegistry:
         assert "sketch:reservoir-sampler" in names
         assert "sketch:uniform-item-sampler" in names
         assert "generator:erdos-renyi" in names
+
+    def test_generators_probed_through_the_rng_they_use(self):
+        """Each generator namespace is probed through the same kind of
+        RNG (numpy or scalar) that the generators module draws it from."""
+        source = inspect.getsource(generators)
+        numpy_names = set(re.findall(r'generator_rng\("([^"]+)"', source))
+        scalar_names = set(re.findall(r'generator_scalar_rng\("([^"]+)"', source))
+        assert set(_NUMPY_GENERATORS) == numpy_names
+        assert set(_SCALAR_GENERATORS) == scalar_names
 
 
 class TestPreFixReproduction:
