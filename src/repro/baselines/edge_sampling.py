@@ -16,7 +16,7 @@ from ..core.result import EstimateResult
 from ..core.skeleton import finish, pass_span
 from ..graphs import four_cycle_count, triangle_count
 from ..graphs.graph import Graph, normalize_edge
-from ..sketches.hashing import KWiseHash
+from ..sketches.hashing import KWiseHash, stable_key_array
 from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
 
@@ -38,9 +38,11 @@ class _EdgeSampling:
         sample_hash = KWiseHash(k=2, seed=self.seed, namespace="edge-sampling.sample")
         graph = Graph()
         with pass_span("pass1:sample", meter):
-            for u, v in stream.edges():
-                if sample_hash.bernoulli(normalize_edge(u, v), self.p):
-                    if graph.add_edge(u, v):
+            for chunk in stream.edge_chunks():
+                keys = stable_key_array([normalize_edge(u, v) for u, v in chunk])
+                hits = sample_hash.bernoulli_array(keys, self.p).tolist()
+                for (u, v), hit in zip(chunk, hits):
+                    if hit and graph.add_edge(u, v):
                         meter.add("sampled_edges")
         surviving = self._count(graph)
         estimate = surviving / self.p**self._order

@@ -28,7 +28,7 @@ from typing import Dict, List, Set, Tuple
 from ..core.result import EstimateResult
 from ..core.skeleton import check_accuracy, finish, pass_span
 from ..graphs.graph import Edge, Vertex, normalize_edge
-from ..sketches.hashing import KWiseHash
+from ..sketches.hashing import KWiseHash, stable_key_array
 from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
 
@@ -64,9 +64,12 @@ class TwoPassTriangles:
         sampled: Set[Edge] = set()
         by_endpoint: Dict[Vertex, List[Edge]] = {}
         with pass_span("pass1:sample", meter):
-            for u, v in stream.edges():
-                edge = normalize_edge(u, v)
-                if sample_hash.bernoulli(edge, p):
+            for chunk in stream.edge_chunks():
+                edges = [normalize_edge(u, v) for u, v in chunk]
+                hits = sample_hash.bernoulli_array(stable_key_array(edges), p).tolist()
+                for (u, v), edge, hit in zip(chunk, edges, hits):
+                    if not hit:
+                        continue
                     sampled.add(edge)
                     by_endpoint.setdefault(u, []).append(edge)
                     by_endpoint.setdefault(v, []).append(edge)

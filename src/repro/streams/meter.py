@@ -60,22 +60,41 @@ class SpaceMeter:
         Negative ``count`` models evictions; the live count may not go
         below zero (that would indicate an accounting bug, so it raises).
         """
-        new_value = self._current.get(category, 0) + count
-        if new_value < 0:
-            raise ValueError(
-                f"space meter for {category!r} went negative ({new_value})"
-            )
-        self._current[category] = new_value
-        self._current_total += count
-        self._refresh(category)
+        value = self._current.get(category, 0) + count
+        if value < 0:
+            raise ValueError(f"space meter for {category!r} went negative ({value})")
+        self._current[category] = value
+        total = self._current_total + count
+        self._current_total = total
+        # the commit is inlined: add runs once per stored item
+        if self._in_step:
+            return
+        if value > self._peak_per_category.get(category, 0):
+            self._peak_per_category[category] = value
+        if total > self._peak_total:
+            self._peak_total = total
+        mutations = self._mutations + 1
+        self._mutations = mutations
+        if self._timeline_capacity > 0 and mutations % self._timeline_stride == 0:
+            self._sample(mutations, total)
 
     def set(self, category: str, count: int) -> None:
         """Set the live item count of ``category`` to an absolute value."""
         if count < 0:
             raise ValueError(f"space meter cannot be negative, got {count}")
-        self._current_total += count - self._current.get(category, 0)
+        total = self._current_total + count - self._current.get(category, 0)
+        self._current_total = total
         self._current[category] = count
-        self._refresh(category)
+        if self._in_step:
+            return
+        if count > self._peak_per_category.get(category, 0):
+            self._peak_per_category[category] = count
+        if total > self._peak_total:
+            self._peak_total = total
+        mutations = self._mutations + 1
+        self._mutations = mutations
+        if self._timeline_capacity > 0 and mutations % self._timeline_stride == 0:
+            self._sample(mutations, total)
 
     @contextmanager
     def step(self) -> Iterator["SpaceMeter"]:
@@ -100,28 +119,21 @@ class SpaceMeter:
                     self._peak_per_category[category] = value
             self._commit_total()
 
-    def _refresh(self, category: str) -> None:
-        if self._in_step:
-            return
-        value = self._current[category]
-        if value > self._peak_per_category.get(category, 0):
-            self._peak_per_category[category] = value
-        self._commit_total()
-
     def _commit_total(self) -> None:
         total = self._current_total
         if total > self._peak_total:
             self._peak_total = total
         self._mutations += 1
-        if self._timeline_capacity <= 0:
-            return
-        if self._mutations % self._timeline_stride == 0:
-            self._timeline.append((self._mutations, total))
-            if len(self._timeline) >= self._timeline_capacity:
-                # Thin to every other sample; doubling the stride keeps
-                # future samples aligned with the survivors.
-                self._timeline = self._timeline[1::2]
-                self._timeline_stride *= 2
+        if self._timeline_capacity > 0 and self._mutations % self._timeline_stride == 0:
+            self._sample(self._mutations, total)
+
+    def _sample(self, mutations: int, total: int) -> None:
+        self._timeline.append((mutations, total))
+        if len(self._timeline) >= self._timeline_capacity:
+            # Thin to every other sample; doubling the stride keeps
+            # future samples aligned with the survivors.
+            self._timeline = self._timeline[1::2]
+            self._timeline_stride *= 2
 
     # ------------------------------------------------------------------
     @property

@@ -14,6 +14,8 @@ All sources are re-iterable.  :meth:`StreamSource.edges` and
 :meth:`StreamSource.adjacency_lists` are the only way a pass starts:
 they count it (``passes_taken``, ``stream.passes``,
 ``stream.edges_consumed``) and test :attr:`~StreamSource.provides_adjacency`.
+:meth:`StreamSource.edge_chunks` groups the tokens of an
+:meth:`~StreamSource.edges` pass into lists.
 A source only supplies the raw items of one pass (``_tokens``, and
 ``_blocks`` for adjacency sources); a :class:`StreamDecorator`
 (validation, fault injection) only transforms its wrapped source's raw
@@ -29,12 +31,24 @@ Dirty input is repaired or skipped by wrapping a source in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import islice
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Edge, Graph, Vertex, normalize_edge
 from ..seeding import component_rng
 from .. import obs as _obs
 from .policies import StreamFaultError, reject_self_loops
+
+#: Edge tokens per list yielded by :meth:`StreamSource.edge_chunks`.
+EDGE_CHUNK = 4096
+
+
+def _chunked(edges: Iterator[Edge]) -> Iterator[List[Edge]]:
+    while True:
+        chunk = list(islice(edges, EDGE_CHUNK))
+        if not chunk:
+            return
+        yield chunk
 
 
 def _counted(items: Iterator, metrics: Any, blocks: bool) -> Iterator:
@@ -120,6 +134,17 @@ class StreamSource(ABC):
     def edges(self) -> Iterator[Edge]:
         """Begin a new pass and iterate its edge tokens."""
         return self._pass(self._tokens())
+
+    def edge_chunks(self) -> Iterator[List[Edge]]:
+        """Begin a new pass and yield its edge tokens in stream order, in
+        lists of at most :data:`EDGE_CHUNK`.
+
+        The pass is :meth:`edges`' own, so it is counted (and its tokens
+        reported) exactly as a token-at-a-time pass.  An algorithm whose
+        per-edge tests are stateless hashes evaluates them once per list
+        with the array kernels, then walks the list in order.
+        """
+        return _chunked(self.edges())
 
     def adjacency_lists(self) -> Iterator[Tuple[Vertex, List[Vertex]]]:
         """Begin a new pass and yield ``(vertex, neighbor_list)`` blocks.
