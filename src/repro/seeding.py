@@ -54,6 +54,14 @@ def _encode(field: Field) -> bytes:
     sequences are length-delimited so nesting is unambiguous —
     ``("a", ("b",))`` and ``("a", "b")`` encode differently.
     """
+    # exact ints and tuples first: oracle seeds such as ``(seed, (u, v))``
+    # are encoded by the thousand; the tagged chain below gives the same
+    # bytes and handles subclasses
+    kind = type(field)
+    if kind is int:
+        return b"i:%d" % field
+    if kind is tuple:
+        return b"t:%d[%b]" % (len(field), b"".join([_encode(item) for item in field]))
     if field is None:
         return b"n:"
     if isinstance(field, bool):  # before int: bool is an int subclass

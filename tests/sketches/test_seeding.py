@@ -116,3 +116,41 @@ def test_pinned_derivations():
         for s in (0, 100_003, -7)
     ] == [9063989129962576852, 6133857995225482819, 5151404061521051054]
     assert derive_seed("a.b", (1, "x"), None, seed="s") == 5742442910774447278
+
+
+def _reference_encode(field):
+    """The tagged isinstance chain alone, without the exact-type fast path."""
+    if field is None:
+        return b"n:"
+    if isinstance(field, bool):
+        return b"b:1" if field else b"b:0"
+    if isinstance(field, int):
+        return b"i:" + str(field).encode("ascii")
+    if isinstance(field, float):
+        return b"f:" + field.hex().encode("ascii")
+    if isinstance(field, str):
+        raw = field.encode("utf-8")
+        return b"s:" + str(len(raw)).encode("ascii") + b":" + raw
+    if isinstance(field, bytes):
+        return b"y:" + str(len(field)).encode("ascii") + b":" + field
+    if isinstance(field, (tuple, list)):
+        inner = b"".join(_reference_encode(item) for item in field)
+        return b"t:" + str(len(field)).encode("ascii") + b"[" + inner + b"]"
+    raise TypeError(type(field).__name__)
+
+
+def test_encoding_fast_path_matches_tagged_chain():
+    import enum
+
+    from repro.seeding import _encode
+
+    class Small(enum.IntEnum):
+        ONE = 1
+
+    fields = [
+        0, 7, -7, 2**61 - 1, -(2**70), 10**40, True, False, Small.ONE, None, 1.5,
+        "v12", "", b"\x00k", (), (3,), [1, (2, "x")], (1, (123, 456)),
+        (5, ("v1", "v2")), (0, (-(10**15), 10**15)), ((), [[]], (None, True)),
+    ]
+    for field in fields:
+        assert _encode(field) == _reference_encode(field), field
