@@ -48,9 +48,7 @@ class _ReservoirGraph:
         set_v = self.adj.get(v)
         if not set_u or not set_v:
             return 0
-        if len(set_u) > len(set_v):
-            set_u, set_v = set_v, set_u
-        return sum(1 for w in set_u if w in set_v)
+        return len(set_u & set_v)
 
     def _insert(self, u: Vertex, v: Vertex) -> None:
         self.edges.append((u, v))
@@ -108,14 +106,13 @@ class TriestBase(_Triest):
         tau = 0
         t = 0
 
+        def on_remove(evicted):
+            nonlocal tau
+            tau -= reservoir.common_neighbors(*evicted)
+
         with pass_span("pass1:reservoir", meter):
             for u, v in stream.edges():
                 t += 1
-
-                def on_remove(evicted, _r=reservoir):
-                    nonlocal tau
-                    tau -= _r.common_neighbors(*evicted)
-
                 if reservoir.offer(u, v, t, on_remove=on_remove):
                     # count triangles the new edge closes inside the reservoir
                     tau += reservoir.common_neighbors(u, v)

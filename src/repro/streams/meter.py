@@ -11,6 +11,7 @@ Usage::
     meter = SpaceMeter()
     meter.add("sampled_edges", 1)        # stored one more edge
     meter.add("sampled_edges", -1)       # evicted one
+    meter.add_units("sampled_edges", 4)  # four add(..., 1) calls at once
     meter.set("counters", 3 * n)         # fixed-size counter bank
     meter.peak                            # max total items ever held
     meter.breakdown()                     # per-category peaks
@@ -77,6 +78,44 @@ class SpaceMeter:
         self._mutations = mutations
         if self._timeline_capacity > 0 and mutations % self._timeline_stride == 0:
             self._sample(mutations, total)
+
+    def add_units(self, category: str, times: int) -> None:
+        """Record ``times`` calls of ``add(category, 1)`` in one call.
+
+        The meter ends in exactly the state those calls leave: live
+        counts, peaks, the mutation count and every timeline sample
+        (thinning included), and inside a :meth:`step` too.  An
+        algorithm that stores items in bulk counts them first and
+        charges them here.
+        """
+        if times < 0:
+            raise ValueError(f"cannot add a negative number of units ({times})")
+        if times == 0:
+            return
+        value = self._current.get(category, 0) + times
+        self._current[category] = value
+        before = self._current_total
+        total = before + times
+        self._current_total = total
+        if self._in_step:
+            return
+        if value > self._peak_per_category.get(category, 0):
+            self._peak_per_category[category] = value
+        if total > self._peak_total:
+            self._peak_total = total
+        first = self._mutations
+        last = first + times
+        self._mutations = last
+        if self._timeline_capacity <= 0:
+            return
+        # the unit adds sampled are those whose index is a multiple of
+        # the stride in force when they run; a sample may double it
+        stride = self._timeline_stride
+        mutation = first - first % stride + stride
+        while mutation <= last:
+            self._sample(mutation, before + mutation - first)
+            stride = self._timeline_stride
+            mutation += stride - mutation % stride
 
     def set(self, category: str, count: int) -> None:
         """Set the live item count of ``category`` to an absolute value."""

@@ -3,7 +3,9 @@
 The meter's ``add`` and ``set`` commit peaks, the mutation count and the
 timeline inline.  The reference below is the implementation they
 replaced (``add``/``set`` -> ``_refresh`` -> ``_commit_total``); random
-operation sequences must leave both in the same state.
+operation sequences must leave both in the same state.  The meter's
+``add_units(c, k)`` is checked against ``k`` of the reference's
+``add(c, 1)`` calls.
 """
 
 import random
@@ -44,6 +46,10 @@ class _ReferenceMeter:
         self._current[category] = new_value
         self._current_total += count
         self._refresh(category)
+
+    def add_units(self, category: str, times: int) -> None:
+        for _ in range(times):
+            self.add(category, 1)
 
     def set(self, category: str, count: int) -> None:
         """Set the live item count of ``category`` to an absolute value."""
@@ -161,6 +167,8 @@ def _apply(meter, op):
     try:
         if kind == "add":
             meter.add(category, count)
+        elif kind == "units":
+            meter.add_units(category, count)
         else:
             meter.set(category, count)
     except ValueError as error:
@@ -206,3 +214,56 @@ def test_random_sequences_match_reference(capacity, seed):
     assert meter.timeline(max_points=5) == reference.timeline(max_points=5)
     assert errors > 0  # the negative-count paths were exercised
 
+
+
+def _random_unit_ops(rng, length):
+    ops = []
+    for op in _random_ops(rng, length):
+        if rng.random() < 0.4:
+            # bulk runs long enough to cross several thinning events
+            times = rng.choice([0, 1, 2, 3, 7, 64, 300, 2_000])
+            op = ("units", op[1], times)
+        ops.append(op)
+    return ops
+
+
+@pytest.mark.parametrize("capacity", [0, 2, 3, 8, 512])
+@pytest.mark.parametrize("seed", range(6))
+def test_add_units_matches_unit_adds(capacity, seed):
+    rng = random.Random(f"meter-add-units-{capacity}-{seed}")
+    meter = SpaceMeter(timeline_capacity=capacity)
+    reference = _ReferenceMeter(timeline_capacity=capacity)
+    for _ in range(30):
+        ops = _random_unit_ops(rng, rng.randrange(1, 20))
+        if rng.random() < 0.3:  # bulk adds inside a step commit at its exit
+            with meter.step(), reference.step():
+                for op in ops:
+                    assert _apply(meter, op) == _apply(reference, op)
+        else:
+            for op in ops:
+                assert _apply(meter, op) == _apply(reference, op)
+        assert _state(meter) == _state(reference)
+    assert meter.timeline() == reference.timeline()
+    if capacity:
+        assert meter._timeline_stride >= 8  # thinned three times or more
+
+
+@pytest.mark.parametrize("capacity", [0, 2, 3, 8, 512])
+def test_add_units_edge_cases(capacity):
+    meter = SpaceMeter(timeline_capacity=capacity)
+    reference = _ReferenceMeter(timeline_capacity=capacity)
+    meter.add_units("a", 0)  # no call at all: no key, no mutation
+    assert _state(meter) == _state(reference)
+    with pytest.raises(ValueError):
+        meter.add_units("a", -1)
+    for times in (1, 5_000, 1, 3):
+        meter.add_units("b", times)
+        reference.add_units("b", times)
+        assert _state(meter) == _state(reference)
+    with meter.step(), reference.step():
+        meter.add_units("c", 9)
+        reference.add_units("c", 9)
+        meter.add("b", -5_000)
+        reference.add("b", -5_000)
+    meter.add_units("d", 0)
+    assert _state(meter) == _state(reference)
