@@ -1,14 +1,13 @@
 """The paper's algorithms (Theorems 2.1, 4.2, 4.3, 5.3, 5.6, 5.7)."""
 
 from .boosting import MedianBoost, copies_for_failure_probability
-from .distinguisher_search import SearchOutcome, estimate_by_search
 from .fourcycle_adjacency_diamond import FourCycleAdjacencyDiamond
 from .fourcycle_arbitrary_onepass import FourCycleArbitraryOnePass
 from .fourcycle_arbitrary_threepass import (
     FourCycleArbitraryThreePass,
     subsample_q,
 )
-from .fourcycle_distinguisher import FourCycleDistinguisher, distinguish_with_boost
+from .fourcycle_distinguisher import FourCycleDistinguisher
 from .fourcycle_l2sampling import FourCycleL2Sampling
 from .fourcycle_moment import FourCycleMoment
 from .result import EstimateResult
@@ -26,10 +25,7 @@ __all__ = [
     "FourCycleArbitraryThreePass",
     "FourCycleArbitraryOnePass",
     "FourCycleDistinguisher",
-    "distinguish_with_boost",
     "subsample_q",
     "MedianBoost",
     "copies_for_failure_probability",
-    "SearchOutcome",
-    "estimate_by_search",
 ]

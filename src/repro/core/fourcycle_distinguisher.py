@@ -14,8 +14,7 @@ space at Õ(m^{3/2} / T^{3/4}).
 The output is a decision, not an estimate: :meth:`decide` returns
 whether a four-cycle was found.  On a four-cycle-free input the answer
 is always ``False`` (one-sided error); on an input with at least ``T``
-four-cycles the answer is ``True`` with constant probability, boosted
-by :func:`distinguish_with_boost`.
+four-cycles the answer is ``True`` with constant probability.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ class FourCycleDistinguisher:
         c: scale on the edge-sampling probability ``p = c / sqrt(T)``
             (the paper's "sufficiently large constant").
         seed: seeds the sampling hash.
-        hard_cap_factor: safety multiplier on the Lemma 5.4 cap
-            ``2 |V_S|^{3/2}``; reaching the cap without a four-cycle
-            would contradict the lemma, so it raises.
+
+    Pass 2 stops at the Lemma 5.4 cap ``2 |V_S|^{3/2}``: crossing it
+    without a four-cycle would contradict the lemma, so it raises.
     """
 
     name = "mv-fourcycle-distinguisher"
@@ -51,14 +50,12 @@ class FourCycleDistinguisher:
         t_guess: float,
         c: float = 2.0,
         seed: int = 0,
-        hard_cap_factor: float = 1.0,
     ) -> None:
         self.t_guess, _ = check_accuracy(t_guess)
         if c <= 0:
             raise ValueError(f"scale c must be positive, got {c}")
         self.c = c
         self.seed = seed
-        self.hard_cap_factor = hard_cap_factor
 
     # ------------------------------------------------------------------
     def decide(self, stream: StreamSource) -> bool:
@@ -86,9 +83,7 @@ class FourCycleDistinguisher:
             span.set("sampled_vertices", len(sampled_vertices))
 
         # ---- pass 2: collect induced edges until a C4 appears --------
-        cap = max(
-            4, math.ceil(self.hard_cap_factor * 2.0 * len(sampled_vertices) ** 1.5)
-        )
+        cap = max(4, math.ceil(2.0 * len(sampled_vertices) ** 1.5))
         adjacency: Dict[Vertex, Set[Vertex]] = {}
         collected = 0
         witness: Tuple[Vertex, ...] = ()
@@ -148,28 +143,3 @@ class FourCycleDistinguisher:
                     return (u, x, y, v)
         return ()
 
-
-def distinguish_with_boost(
-    stream_factory,
-    t_guess: float,
-    copies: int = 5,
-    c: float = 2.0,
-    seed: int = 0,
-) -> bool:
-    """Run ``copies`` independent distinguishers, take the majority.
-
-    Because the no-instance error is one-sided (a four-cycle-free graph
-    can never produce a witness), any single ``True`` is proof of a
-    four-cycle; the majority vote is kept for symmetry with the paper's
-    Theorem 5.6 statement, but ``any`` would be sound too.
-
-    Args:
-        stream_factory: ``seed -> StreamSource``; called once per copy
-            so each copy gets an independent stream object (same graph).
-    """
-    votes = 0
-    for j in range(copies):
-        algorithm = FourCycleDistinguisher(t_guess, c=c, seed=seed * 1_000 + j)
-        if algorithm.decide(stream_factory(j)):
-            votes += 1
-    return votes * 2 > copies

@@ -31,7 +31,6 @@ class TrialStats:
     space_items: List[int]
     passes: int
     results: List[EstimateResult] = field(repr=False, default_factory=list)
-    wall_seconds: List[float] = field(repr=False, default_factory=list)
     #: trial index -> anomaly notes (in-process re-executions after a
     #: worker crash); empty for a fault-free run.
     anomalies: Dict[int, List[str]] = field(repr=False, default_factory=dict)
@@ -39,16 +38,6 @@ class TrialStats:
     @property
     def trials(self) -> int:
         return len(self.estimates)
-
-    @property
-    def total_wall_seconds(self) -> float:
-        return sum(self.wall_seconds)
-
-    @property
-    def median_wall_seconds(self) -> float:
-        if not self.wall_seconds:
-            return 0.0
-        return median(self.wall_seconds)
 
     @property
     def median_estimate(self) -> float:
@@ -81,21 +70,6 @@ class TrialStats:
     @property
     def median_space(self) -> float:
         return median([float(s) for s in self.space_items])
-
-    @property
-    def max_space(self) -> int:
-        return max(self.space_items)
-
-    def summary_row(self) -> Dict[str, float]:
-        return {
-            "truth": self.truth,
-            "median_estimate": self.median_estimate,
-            "median_rel_error": self.median_relative_error,
-            "mean_rel_error": self.mean_relative_error,
-            "median_space": self.median_space,
-            "trials": self.trials,
-            "passes": self.passes,
-        }
 
 
 def run_trials(
@@ -136,7 +110,6 @@ def run_trials(
             result.telemetry = None
     estimates = [result.estimate for result in results]
     spaces = [result.space_items for result in results]
-    walls = [result.wall_seconds for result in results]
     anomalies: Dict[int, List[str]] = {
         i: list(result.details["anomalies"])
         for i, result in enumerate(results)
@@ -164,7 +137,7 @@ def run_trials(
             "algorithm": results[0].algorithm,
             "estimates": estimates,
             "space_items": spaces,
-            "wall_seconds": walls,
+            "wall_seconds": [result.wall_seconds for result in results],
         }
         if anomalies:
             payload["anomalies"] = {str(k): v for k, v in anomalies.items()}
@@ -179,7 +152,6 @@ def run_trials(
         space_items=spaces,
         passes=passes,
         results=results,
-        wall_seconds=walls,
         anomalies=anomalies,
     )
 

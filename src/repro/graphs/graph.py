@@ -117,9 +117,6 @@ class Graph:
         """Number of edges ``m``."""
         return self._num_edges
 
-    def has_vertex(self, v: Vertex) -> bool:
-        return v in self._adj
-
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return u in self._adj and v in self._adj[u]
 

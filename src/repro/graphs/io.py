@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .graph import Graph, Vertex
 
@@ -45,21 +45,19 @@ def _parse_vertex(token: str) -> Vertex:
         return token
 
 
-def iter_edge_list(path: PathLike) -> Iterator[Tuple[Vertex, Vertex]]:
-    """Stream raw edges from a file, one pass, O(1) memory.
-
-    Yields edges as parsed (unnormalized, duplicates included) — the
-    building block for :class:`FileEdgeStream`, which applies the
-    model's semantics on top.
+def _edge_lines(path: PathLike) -> Iterator[Optional[Tuple[Vertex, Vertex]]]:
+    """Each line of an edge-list file: its parsed edge, or ``None`` for a
+    blank or comment line.
 
     Raises:
-        ValueError: on a non-comment line that does not contain at
-            least two tokens.
+        ValueError: naming ``path:line`` on a non-comment line that does
+            not contain at least two tokens.
     """
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith(_COMMENT_PREFIXES):
+                yield None
                 continue
             tokens = _SEPARATORS.split(stripped)
             if len(tokens) < 2:
@@ -69,6 +67,16 @@ def iter_edge_list(path: PathLike) -> Iterator[Tuple[Vertex, Vertex]]:
             yield _parse_vertex(tokens[0]), _parse_vertex(tokens[1])
 
 
+def iter_edge_list(path: PathLike) -> Iterator[Tuple[Vertex, Vertex]]:
+    """Stream raw edges from a file, one pass, O(1) memory.
+
+    Yields edges as parsed (unnormalized, duplicates included) — the
+    building block for :class:`FileEdgeStream`, which applies the
+    model's semantics on top.  A malformed line raises ``ValueError``.
+    """
+    return (edge for edge in _edge_lines(path) if edge is not None)
+
+
 def read_edge_list(path: PathLike) -> Tuple[Graph, LoadReport]:
     """Load an edge-list file into a :class:`Graph` with a report."""
     graph = Graph()
@@ -76,23 +84,15 @@ def read_edge_list(path: PathLike) -> Tuple[Graph, LoadReport]:
     self_loops = 0
     kept = 0
     skipped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped or stripped.startswith(_COMMENT_PREFIXES):
-                skipped += 1
-                continue
-            tokens = _SEPARATORS.split(stripped)
-            if len(tokens) < 2:
-                raise ValueError(f"{path}: malformed line {stripped!r}")
-            u, v = _parse_vertex(tokens[0]), _parse_vertex(tokens[1])
-            if u == v:
-                self_loops += 1
-                continue
-            if graph.add_edge(u, v):
-                kept += 1
-            else:
-                duplicates += 1
+    for edge in _edge_lines(path):
+        if edge is None:
+            skipped += 1
+        elif edge[0] == edge[1]:
+            self_loops += 1
+        elif graph.add_edge(*edge):
+            kept += 1
+        else:
+            duplicates += 1
     report = LoadReport(
         edges_kept=kept,
         duplicates_dropped=duplicates,
@@ -106,10 +106,13 @@ def write_edge_list(graph: Graph, path: PathLike, header: str = "") -> int:
     """Write a graph as a whitespace-separated edge list.
 
     Returns the number of edges written.  Edges are written in
-    canonical sorted order so output is deterministic.
+    canonical sorted order so output is deterministic.  The write is
+    atomic: an interrupted call leaves any previous file untouched.
     """
+    from ..resilience.atomic import atomic_write
+
     count = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         if header:
             for line in header.splitlines():
                 handle.write(f"# {line}\n")

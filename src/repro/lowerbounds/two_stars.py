@@ -46,10 +46,6 @@ class TwoStarConstruction:
         doubly_connected = self.k * len(self.instance.intersection_indices)
         return doubly_connected * (doubly_connected - 1) // 2
 
-    @property
-    def planted_answer(self) -> int:
-        return self.instance.answer
-
     def all_edges(self) -> List[Tuple[str, str]]:
         return self.alice_edges + self.bob_edges
 

@@ -41,6 +41,10 @@ def atomic_write(
     )
     handle = os.fdopen(fd, mode, encoding=encoding, newline=newline)
     try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         yield handle
         handle.flush()
         os.fsync(handle.fileno())

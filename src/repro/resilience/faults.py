@@ -86,18 +86,6 @@ class FaultPlan:
             drop_rate=quarter,
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.duplicate_rate == 0.0
-            and self.self_loop_rate == 0.0
-            and self.reverse_rate == 0.0
-            and self.drop_rate == 0.0
-            and self.truncate_fraction == 0.0
-            and self.split_block_rate == 0.0
-            and not self.shuffle_blocks
-        )
-
 
 class FaultyStream(StreamDecorator):
     """A stream source that replays a seeded corruption of its base."""

@@ -1,6 +1,5 @@
-"""Sketching substrate: hashing, AMS, CountSketch, l2 sampling, wedges."""
+"""Sketching substrate: hashing, CountSketch, l2 sampling, wedges."""
 
-from .ams import AmsF2Sketch
 from .countsketch import CountSketch
 from .estimators import (
     mean,
@@ -26,7 +25,6 @@ __all__ = [
     "hash_family",
     "stable_key",
     "stable_key_array",
-    "AmsF2Sketch",
     "CountSketch",
     "L2Sampler",
     "L2SamplerBank",

@@ -9,10 +9,10 @@ This is the workhorse inside the l2 sampler (Section 4.2.4) and is
 independently useful, so it lives in the substrate.
 
 The table is a numpy array and updates come in two flavors: the scalar
-:meth:`update` (one key at a time, memoized hash locations) and the
-batched :meth:`update_batch` (vectorized hashing + ``np.add.at``
-scatter), which applies the exact same arithmetic and is
-property-tested equal to a scalar update sequence.
+:meth:`update` (one key at a time) and the batched :meth:`update_batch`
+(vectorized hashing + ``np.add.at`` scatter), which applies the exact
+same arithmetic and is property-tested equal to a scalar update
+sequence.
 
 The table may be a view into a larger array: an
 :class:`~repro.sketches.l2_sampler.L2SamplerBank` owns one table for
@@ -23,7 +23,7 @@ rows.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,31 +38,19 @@ class CountSketch:
         rows: number of independent hash rows (median over these).
         width: buckets per row.
         seed: derives every hash function deterministically.
-        max_cache_entries: cap on the per-key (bucket, sign) memo.  The
-            memo is real memory, so it is bounded and charged to
-            :attr:`space_items`; past the cap, new keys are hashed on
-            the fly without being memoized.
     """
-
-    DEFAULT_MAX_CACHE_ENTRIES = 4096
 
     def __init__(
         self,
         rows: int = 5,
         width: int = 256,
         seed: int = 0,
-        max_cache_entries: Optional[int] = None,
         namespace: str = "",
     ) -> None:
         if rows < 1 or width < 1:
             raise ValueError("rows and width must be positive")
-        if max_cache_entries is None:
-            max_cache_entries = self.DEFAULT_MAX_CACHE_ENTRIES
-        if max_cache_entries < 0:
-            raise ValueError("max_cache_entries cannot be negative")
         self.rows = rows
         self.width = width
-        self.max_cache_entries = max_cache_entries
         prefix = f"{namespace}." if namespace else ""
         self._buckets: List[KWiseHash] = hash_family(
             rows, k=2, seed=seed, namespace=f"{prefix}countsketch.buckets"
@@ -71,21 +59,13 @@ class CountSketch:
             rows, k=4, seed=seed, namespace=f"{prefix}countsketch.signs"
         )
         self._table = np.zeros((rows, width), dtype=np.float64)
-        # per-key (bucket, sign) rows, memoized: streams hit the same
-        # coordinate many times (e.g. one wedge-vector entry per wedge).
-        # Bounded by ``max_cache_entries`` and charged to space_items.
-        self._key_cache: dict = {}
 
-    def _locate(self, key: Hashable):
-        cached = self._key_cache.get(key)
-        if cached is None:
-            cached = [
-                (self._buckets[r].bucket(key, self.width), self._signs[r].sign(key))
-                for r in range(self.rows)
-            ]
-            if len(self._key_cache) < self.max_cache_entries:
-                self._key_cache[key] = cached
-        return cached
+    def _locate(self, key: Hashable) -> List[Tuple[int, int]]:
+        """The (bucket, sign) of ``key`` in every row."""
+        return [
+            (self._buckets[r].bucket(key, self.width), self._signs[r].sign(key))
+            for r in range(self.rows)
+        ]
 
     def update(self, key: Hashable, delta: float = 1.0) -> None:
         """Apply ``f[key] += delta``."""
@@ -143,16 +123,6 @@ class CountSketch:
         return float(np.count_nonzero(self._table)) / self._table.size
 
     @property
-    def cache_entries(self) -> int:
-        """Number of keys currently memoized in the (bucket, sign) cache."""
-        return len(self._key_cache)
-
-    @property
     def space_items(self) -> int:
-        """Words of state: the table cells plus the live hash memo.
-
-        The memo stores ``rows`` (bucket, sign) pairs per key but is
-        charged one word per key, matching the paper's convention of
-        counting stored ids rather than bytes.
-        """
-        return self.rows * self.width + len(self._key_cache)
+        """Words of state: the table cells."""
+        return self.rows * self.width

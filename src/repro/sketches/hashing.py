@@ -301,10 +301,6 @@ class KWiseHash:
             x.shape
         )
 
-    def uniforms_array(self, stable_keys: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`uniform` (float64 in ``(0, 1)``)."""
-        return unit_uniforms(self.values_array(stable_keys))
-
     def bernoulli_array(self, stable_keys: "np.ndarray", p: float) -> "np.ndarray":
         """Vectorized :meth:`bernoulli` (bool array)."""
         threshold = bernoulli_threshold(p)

@@ -25,7 +25,7 @@ is the test oracle.  :meth:`L2SamplerBank.update_batch` hashes a whole
 batch (one adjacency block's wedge pairs) under every sampler's
 bucket, sign and uniform functions in one stacked Horner pass
 (:class:`~repro.sketches.hashing.HashStack`) and scatters it with one
-``np.add.at``; it keeps no per-key memo.  :meth:`L2SamplerBank.samples`
+``np.add.at``.  :meth:`L2SamplerBank.samples`
 recovers the whole candidate array in every sampler at once.  Both
 batched methods give bit-identical tables and samples to the scalar
 path.
@@ -64,18 +64,11 @@ class L2Sampler:
         self._sketch = CountSketch(
             rows=rows, width=width, seed=seed, namespace="l2-sampler"
         )
-        self._scale_cache: dict = {}
-
-    def _scale(self, key: Hashable) -> float:
-        cached = self._scale_cache.get(key)
-        if cached is None:
-            cached = 1.0 / math.sqrt(self._uniforms.uniform(key))
-            self._scale_cache[key] = cached
-        return cached
 
     def update(self, key: Hashable, delta: float = 1.0) -> None:
         """Apply ``f[key] += delta`` (sketched as ``g[key] += delta/sqrt(u)``)."""
-        self._sketch.update(key, delta * self._scale(key))
+        scale = 1.0 / math.sqrt(self._uniforms.uniform(key))
+        self._sketch.update(key, delta * scale)
 
     def sample(
         self, candidates: Iterable[Hashable], f2_estimate: float
@@ -85,8 +78,9 @@ class L2Sampler:
         Args:
             candidates: the coordinate domain to search (e.g. all vertex
                 pairs).  Coordinates outside it can never be returned.
-            f2_estimate: an estimate of ``F2(f)`` (from an AMS sketch or
-                exact bookkeeping) used for the acceptance threshold.
+            f2_estimate: an estimate of ``F2(f)`` (e.g. the wedge-vector
+                F2 estimator, or exact bookkeeping) used for the
+                acceptance threshold.
 
         Returns:
             ``(key, f_estimate)`` on success, ``None`` if this copy's
@@ -182,7 +176,7 @@ class L2SamplerBank:
         one stacked pass, and the scaled updates are scattered into the
         bank's table with one ``np.add.at``, which adds in key order
         within each cell.  The table therefore ends up bit-identical to
-        the scalar :meth:`update` loop, and no per-key hash memo fills.
+        the scalar :meth:`update` loop.
         """
         stable = stable_key_array(keys)
         if stable.size == 0:

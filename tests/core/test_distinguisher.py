@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core import FourCycleDistinguisher, distinguish_with_boost
+from repro.core import FourCycleDistinguisher
 from repro.graphs import (
     complete_bipartite,
     four_cycle_count,
@@ -86,27 +86,3 @@ class TestSpaceBound:
         FourCycleDistinguisher(t_guess=30, seed=1).run(stream)
         assert stream.passes_taken == 2
 
-
-class TestBoost:
-    def test_boost_yes(self):
-        graph = planted_four_cycles(500, 80, extra_edges=100, seed=4)
-        truth = four_cycle_count(graph)
-        answer = distinguish_with_boost(
-            lambda j: RandomOrderStream(graph, seed=j),
-            t_guess=truth,
-            copies=5,
-            c=3.0,
-            seed=1,
-        )
-        assert answer
-
-    def test_boost_no(self):
-        graph = friendship_graph(120)
-        answer = distinguish_with_boost(
-            lambda j: ArbitraryOrderStream.from_graph(graph),
-            t_guess=60,
-            copies=5,
-            c=3.0,
-            seed=1,
-        )
-        assert not answer

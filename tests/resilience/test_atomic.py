@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import stat
 
 import pytest
 
@@ -50,6 +51,16 @@ class TestAtomicWrite:
         assert target.read_text() == "new"
 
 
+    def test_file_gets_the_mode_open_would_give(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        target = tmp_path / "atomic.txt"
+        with atomic_write(target) as handle:
+            handle.write("x")
+        mode = stat.S_IMODE(target.stat().st_mode)
+        assert mode == stat.S_IMODE(plain.stat().st_mode)
+
+
 class TestExportsAreAtomic:
     def test_export_json_interrupted_keeps_previous(self, tmp_path, monkeypatch):
         import json
@@ -86,3 +97,21 @@ class TestExportsAreAtomic:
         lines = path.read_text().splitlines()
         assert lines  # manifest + metrics records
         assert os.listdir(tmp_path) == ["trace.jsonl"]
+
+    def test_write_edge_list_interrupted_keeps_previous(self, tmp_path, monkeypatch):
+        from repro.graphs import Graph, write_edge_list
+
+        target = tmp_path / "graph.txt"
+        write_edge_list(Graph.from_edges([(1, 2), (2, 3)]), target, header="old")
+        before = target.read_bytes()
+
+        def torn_edge_list():
+            yield (5, 6)
+            raise RuntimeError("interrupted")
+
+        graph = Graph.from_edges([(5, 6), (6, 7)])
+        monkeypatch.setattr(graph, "edge_list", torn_edge_list)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_edge_list(graph, target)
+        assert target.read_bytes() == before
+        assert os.listdir(tmp_path) == ["graph.txt"]

@@ -45,12 +45,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="fault rate"):
             FaultPlan.mixed(1.2)
 
-    def test_is_zero(self):
-        assert FaultPlan().is_zero
-        assert FaultPlan.mixed(0.0).is_zero
-        assert not FaultPlan(duplicate_rate=0.1).is_zero
-        assert not FaultPlan(shuffle_blocks=True).is_zero
-
 
 class TestFaultyEdgeStream:
     def test_zero_plan_is_passthrough(self):

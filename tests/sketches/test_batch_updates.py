@@ -1,10 +1,10 @@
 """Batched sketch kernels agree exactly with the scalar API.
 
-``update_batch`` on :class:`CountSketch` / :class:`AmsF2Sketch` and the
-``*_array`` methods on :class:`KWiseHash` are pure vectorizations: for
-integer deltas every code path is exact integer arithmetic (Mersenne
-2^61-1 hashing in uint64, float64 accumulation of integers well below
-2^53), so equality here is bitwise, not approximate.
+``update_batch`` on :class:`CountSketch` and the ``*_array`` methods on
+:class:`KWiseHash` are pure vectorizations: for integer deltas every
+code path is exact integer arithmetic (Mersenne 2^61-1 hashing in
+uint64, float64 accumulation of integers well below 2^53), so equality
+here is bitwise, not approximate.
 """
 
 import random
@@ -14,13 +14,12 @@ import pytest
 
 from repro.sketches import (
     MERSENNE_PRIME,
-    AmsF2Sketch,
     CountSketch,
     KWiseHash,
     stable_key,
     stable_key_array,
 )
-from repro.sketches.hashing import HashStack, _mod_p, _mul_terms
+from repro.sketches.hashing import HashStack, _mod_p, _mul_terms, unit_uniforms
 
 
 class TestStableKeyArray:
@@ -112,7 +111,8 @@ class TestMersenneKernels:
     def test_uniforms_exact_on_pair_keys(self):
         h = KWiseHash(2, seed=3, namespace="l2-sampler.uniforms")
         keys = [(u, v) for u in range(200) for v in range(u + 1, 200)]
-        assert h.uniforms_array(stable_key_array(keys)).tolist() == [
+        # the expression L2SamplerBank.update_batch computes
+        assert unit_uniforms(h.values_array(stable_key_array(keys))).tolist() == [
             h.uniform(key) for key in keys
         ]
 
@@ -134,7 +134,8 @@ class TestKWiseHashArrays:
         arr = np.array(keys, dtype=np.uint64)
         assert h.buckets_array(arr, 37).tolist() == [h.bucket(k, 37) for k in keys]
         assert h.signs_array(arr).tolist() == [h.sign(k) for k in keys]
-        assert h.uniforms_array(arr).tolist() == [h.uniform(k) for k in keys]
+        uniforms = unit_uniforms(h.values_array(arr))
+        assert uniforms.tolist() == [h.uniform(k) for k in keys]
         for p in (0.0, 0.25, 0.5, 1.0, 1e-9):
             assert h.bernoulli_array(arr, p).tolist() == [
                 h.bernoulli(k, p) for k in keys
@@ -182,63 +183,3 @@ class TestCountSketchBatch:
         reference.update_batch(list(range(20)) + list(range(10, 30)))
         assert all(a.query(k) == reference.query(k) for k in range(30))
 
-
-class TestCountSketchCacheBound:
-    def test_cache_never_exceeds_cap(self):
-        sketch = CountSketch(rows=2, width=16, seed=0, max_cache_entries=10)
-        for key in range(100):
-            sketch.update(key)
-        assert sketch.cache_entries <= 10
-
-    def test_default_cap_applies(self):
-        sketch = CountSketch(rows=2, width=16, seed=0)
-        assert sketch.max_cache_entries == CountSketch.DEFAULT_MAX_CACHE_ENTRIES
-        for key in range(CountSketch.DEFAULT_MAX_CACHE_ENTRIES + 64):
-            sketch.update(key)
-        assert sketch.cache_entries <= CountSketch.DEFAULT_MAX_CACHE_ENTRIES
-
-    def test_space_items_reports_cache(self):
-        sketch = CountSketch(rows=2, width=16, seed=0, max_cache_entries=8)
-        base = sketch.space_items
-        assert base == 2 * 16
-        for key in range(4):
-            sketch.update(key)
-        assert sketch.space_items == base + sketch.cache_entries
-
-    def test_capped_cache_still_correct(self):
-        capped = CountSketch(rows=4, width=64, seed=2, max_cache_entries=5)
-        uncapped = CountSketch(rows=4, width=64, seed=2)
-        for key in range(200):
-            capped.update(key, 1.5)
-            uncapped.update(key, 1.5)
-        assert all(capped.query(k) == uncapped.query(k) for k in range(200))
-
-
-class TestAmsBatch:
-    def test_batch_equals_scalar_sequence(self):
-        scalar = AmsF2Sketch(groups=4, group_size=6, seed=7)
-        batched = AmsF2Sketch(groups=4, group_size=6, seed=7)
-        rng = random.Random(3)
-        keys = [rng.randrange(0, 300) for _ in range(800)]
-        deltas = [rng.choice([-1, 1, 2]) for _ in range(800)]
-        for key, delta in zip(keys, deltas):
-            scalar.update(key, delta)
-        batched.update_batch(keys, deltas)
-        assert scalar.estimate() == batched.estimate()
-
-    def test_batch_then_merge(self):
-        a = AmsF2Sketch(groups=3, group_size=4, seed=1)
-        b = AmsF2Sketch(groups=3, group_size=4, seed=1)
-        a.update_batch(range(30))
-        b.update_batch(range(15, 45))
-        a.merge(b)
-        reference = AmsF2Sketch(groups=3, group_size=4, seed=1)
-        reference.update_batch(list(range(30)) + list(range(15, 45)))
-        assert a.estimate() == reference.estimate()
-
-    def test_estimate_reasonable_on_uniform_frequencies(self):
-        sketch = AmsF2Sketch(groups=6, group_size=12, seed=0)
-        keys = [k for k in range(100) for _ in range(3)]  # each frequency 3
-        sketch.update_batch(keys)
-        truth = 100 * 9
-        assert 0.4 * truth <= sketch.estimate() <= 2.5 * truth

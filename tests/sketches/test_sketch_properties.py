@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches import AmsF2Sketch, CountSketch, KWiseHash
+from repro.sketches import CountSketch, KWiseHash
 
 update_strategy = st.lists(
     st.tuples(st.integers(0, 20), st.integers(-5, 5)), max_size=40
@@ -51,32 +51,6 @@ class TestCountSketchProperties:
             return [sketch.query(key) for key in range(21)]
 
         assert build() == build()
-
-
-class TestAmsProperties:
-    @given(update_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_merge_equals_concatenation(self, updates):
-        half = len(updates) // 2
-        left = AmsF2Sketch(groups=2, group_size=3, seed=3)
-        right = AmsF2Sketch(groups=2, group_size=3, seed=3)
-        combined = AmsF2Sketch(groups=2, group_size=3, seed=3)
-        for key, delta in updates[:half]:
-            left.update(key, delta)
-            combined.update(key, delta)
-        for key, delta in updates[half:]:
-            right.update(key, delta)
-            combined.update(key, delta)
-        left.merge(right)
-        assert left.estimate() == pytest.approx(combined.estimate())
-
-    @given(update_strategy)
-    @settings(max_examples=40, deadline=None)
-    def test_estimate_nonnegative(self, updates):
-        sketch = AmsF2Sketch(groups=2, group_size=3, seed=9)
-        for key, delta in updates:
-            sketch.update(key, delta)
-        assert sketch.estimate() >= 0.0
 
 
 class TestHashProperties:

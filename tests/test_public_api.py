@@ -3,6 +3,9 @@ package surface matches what the docs promise."""
 
 import importlib
 import inspect
+import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -94,3 +97,84 @@ def test_workload_registry_matches_docs():
         "four-cycle-free",
     ):
         assert expected in ALL_WORKLOADS
+
+
+API_DOC = Path(__file__).resolve().parents[1] / "docs" / "api.md"
+_SECTION = re.compile(r"^## `(repro[\w.]*)`")
+_HINT = re.compile(r"\(in `(repro[\w.]*)`\)")
+_CALL = re.compile(r"^(\.?[A-Za-z_][\w.]*)\((.*)\)(?: -> .*)?$")
+
+
+def _documented_calls():
+    """``(line, modules, dotted name, params)`` for every `` `name(params)` ``
+    in the first column of a docs/api.md table.  A leading-dot name such
+    as `.from_graph(graph)` belongs to the cell's previous name."""
+    section = None
+    for number, line in enumerate(API_DOC.read_text().splitlines(), 1):
+        if line.startswith("## "):
+            match = _SECTION.match(line)
+            section = match.group(1) if match else None
+        if not line.startswith("| ") or line.startswith("|---"):
+            continue
+        first = line.split(" | ")[0][2:]
+        modules = _HINT.findall(first) + ([section] if section else [])
+        owner = ""
+        for span in re.findall(r"`([^`]+)`", first):
+            match = _CALL.match(span)
+            if not match:
+                continue
+            dotted = match.group(1)
+            if dotted.startswith("."):
+                dotted = owner + dotted
+            owner = dotted.split(".")[0]
+            yield number, modules, dotted, match.group(2)
+
+
+def _param_names(text):
+    """Names in a documented parameter list: ``*fields`` -> ``fields``,
+    ``seed=None`` -> ``seed``; ``...`` is dropped."""
+    names = [part.strip().lstrip("*").split("=")[0].strip() for part in text.split(",")]
+    return [name for name in names if name and name != "..."]
+
+
+def _resolve(dotted, modules):
+    """The object ``dotted`` names, looked up in ``modules`` first, then
+    in ``repro`` and every ``repro`` submodule."""
+    head, *rest = dotted.split(".")
+    search = modules + ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith("__main__")
+    ]
+    for name in search:
+        module = importlib.import_module(name)
+        if hasattr(module, head):
+            obj = getattr(module, head)
+            break
+    else:
+        return None
+    for part in rest:
+        obj = getattr(obj, part, None)
+    return obj
+
+
+def test_api_doc_signatures_match_code():
+    """Every documented call resolves to a callable, and each parameter
+    it lists exists in that callable's signature."""
+    calls = list(_documented_calls())
+    assert len(calls) > 40, "the table parser found too few documented calls"
+    problems = []
+    for number, modules, dotted, params in calls:
+        obj = _resolve(dotted, modules)
+        if not callable(obj):
+            problems.append(f"api.md:{number}: `{dotted}` names no repro callable")
+            continue
+        parameters = inspect.signature(obj).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+            continue
+        problems += [
+            f"api.md:{number}: `{dotted}` has no parameter {name!r}"
+            for name in _param_names(params)
+            if name not in parameters
+        ]
+    assert not problems, "\n".join(problems)
