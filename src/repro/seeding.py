@@ -54,9 +54,8 @@ def _encode(field: Field) -> bytes:
     sequences are length-delimited so nesting is unambiguous —
     ``("a", ("b",))`` and ``("a", "b")`` encode differently.
     """
-    # exact ints and tuples first: oracle seeds such as ``(seed, (u, v))``
-    # are encoded by the thousand; the tagged chain below gives the same
-    # bytes and handles subclasses
+    # exact ints and tuples first, the common fields; the tagged chain
+    # below gives the same bytes and handles subclasses
     kind = type(field)
     if kind is int:
         return b"i:%d" % field
@@ -89,7 +88,7 @@ def derive_seeds(component: str, *fields: Field, seeds: Iterable[Field]) -> List
 
     The prefix over ``(component, fields)`` is hashed once and copied per
     seed, so a batch of components that differ only in their user seed
-    (say, one hash function per oracle) costs one short digest each.
+    (say, many hash functions of one namespace) costs one short digest each.
     """
     if not isinstance(component, str) or not component:
         raise TypeError(f"component tag must be a non-empty str, got {component!r}")

@@ -25,12 +25,10 @@ into 30/31-bit halves so each Horner step needs a single reduction.
 :class:`HashStack` evaluates many same-degree functions together:
 :meth:`~HashStack.values` hashes one key array under every function (a
 ``(functions x keys)`` matrix, how a bank of sketches hashes a batch
-under all its rows), and :meth:`~HashStack.values_at` hashes each key
-under its own function (how many small samplers, one function each,
-decide their candidates at once).  :meth:`HashStack.draw` and
-:func:`draw_coefficients` draw the coefficients of many functions that
-differ only in their seed without building them one by one.  The scalar
-path stays the reference the vectorized one is tested against.
+under all its rows).  :func:`draw_coefficients` draws the coefficients
+of many functions that differ only in their seed without building them
+one by one.  The scalar path stays the reference the vectorized one is
+tested against.
 """
 
 from __future__ import annotations
@@ -100,11 +98,10 @@ def _horner(coeffs: "np.ndarray", x: "np.ndarray") -> "np.ndarray":
     """Evaluate ``F`` polynomials, highest degree first, at folded keys.
 
     ``coeffs`` is an ``(F, k)`` uint64 matrix, as :class:`KWiseHash`
-    stores its coefficients; ``x`` holds folded keys below ``P`` and
-    broadcasts against an ``(F, 1)`` column.  A flat ``(N,)`` ``x``
-    gives the ``(F, N)`` matrix of every function at every key; an
-    ``(F, 1)`` ``x`` gives function ``i`` at key ``i``.  Each Horner
-    step ``acc * x + c`` is reduced with one fold.
+    stores its coefficients; ``x`` is a flat ``(N,)`` array of folded
+    keys below ``P``, and the result is the ``(F, N)`` matrix of every
+    function at every key.  Each Horner step ``acc * x + c`` is reduced
+    with one fold.
     """
     acc = coeffs[:, :1]
     for j in range(1, coeffs.shape[1]):
@@ -388,8 +385,7 @@ class HashStack:
     uint64 matrix, so hashing a batch of keys under many functions (a
     bank of sketches with several rows each) costs a handful of numpy
     calls instead of one per function.  Row ``i`` equals
-    ``hashes[i].values_array(keys)`` exactly.  :meth:`values_at`
-    evaluates one chosen row per key instead.
+    ``hashes[i].values_array(keys)`` exactly.
     """
 
     def __init__(self, hashes: Sequence[KWiseHash]) -> None:
@@ -398,27 +394,9 @@ class HashStack:
             raise ValueError(f"need functions of one degree, got degrees {sorted(degrees)}")
         self._coeffs = np.array([h._coeffs for h in hashes], dtype=np.uint64)
 
-    @classmethod
-    def draw(cls, k: int, namespace: str, seeds: Sequence[Field]) -> "HashStack":
-        """The stack of ``KWiseHash(k, seed, namespace)`` over ``seeds``,
-        drawn with :func:`draw_coefficients` instead of one by one."""
-        stack = cls.__new__(cls)
-        stack._coeffs = np.array(
-            draw_coefficients(k, namespace, seeds), dtype=np.uint64
-        ).reshape(len(seeds), k)
-        return stack
-
     def values(self, stable_keys: "np.ndarray") -> "np.ndarray":
         """A ``(len(hashes), len(stable_keys))`` matrix of raw hash values."""
         return _horner(self._coeffs, np.asarray(stable_keys, dtype=np.uint64))
-
-    def values_at(self, rows: "np.ndarray", stable_keys: "np.ndarray") -> "np.ndarray":
-        """Row ``rows[i]`` evaluated at key ``i``: a flat uint64 array.
-
-        Entry ``i`` equals ``hashes[rows[i]].values_array(stable_keys)[i]``.
-        """
-        x = np.asarray(stable_keys, dtype=np.uint64).reshape(-1, 1)
-        return _horner(self._coeffs[np.asarray(rows, dtype=np.intp)], x)[:, 0]
 
 
 def hash_family(

@@ -152,7 +152,7 @@ class TestEdgeOracleSampling:
                 s_adj.setdefault(d, set()).add(a)
                 s_adj.setdefault(a, set()).add(d)
             (oracle,) = _build_oracles(
-                [(a, b)], (q_set, set()), (s_adj, {}), p=p, m_bound=10.0, seeds=[seed]
+                [(a, b)], (q_set, set()), (s_adj, {}), p=p, m_bound=10.0, seed=seed
             )
             # each of the 20 candidate H_e vertices (d, a) could be in R1
             included += len(oracle.useful.r1)
@@ -167,7 +167,7 @@ class TestEdgeOracleSampling:
             ({"d": {"a"}, "a": {"d"}}, {}),
             p=1.0,
             m_bound=10.0,
-            seeds=[1],
+            seed=1,
         )
         q, _ = _selection_rates(1.0)
         assert q is None  # direct mode
@@ -176,7 +176,8 @@ class TestEdgeOracleSampling:
     @staticmethod
     def _scalar_selection(edge, q_set, adj, p, seed, copy):
         """The one-oracle-at-a-time reference: scalar ``choice4`` and
-        ``bernoulli`` on nested tuple keys, candidate by candidate."""
+        ``bernoulli`` on nested tuple keys, candidate by candidate, under
+        the copy's one function of the algorithm seed."""
         a, b = edge
         hash_fn = KWiseHash(k=2, seed=seed, namespace=f"threepass.select[{copy}]")
         q, _ = _selection_rates(p)
@@ -217,9 +218,9 @@ class TestEdgeOracleSampling:
                 s_adjs[copy].setdefault(u, set()).add(v)
                 s_adjs[copy].setdefault(v, set()).add(u)
         edges = sorted({normalize_edge(*map(label, rng.sample(range(n), 2))) for _ in range(60)})
-        seeds = [11 * 100_003 + i for i in range(len(edges))]
-        oracles = _build_oracles(edges, q_sets, s_adjs, p=p, m_bound=10.0, seeds=seeds)
-        for e, seed, oracle in zip(edges, seeds, oracles):
+        seed = 11
+        oracles = _build_oracles(edges, q_sets, s_adjs, p=p, m_bound=10.0, seed=seed)
+        for e, oracle in zip(edges, oracles):
             assert oracle.edge == e
             for copy, members in enumerate((oracle.useful.r1, oracle.useful.r2)):
                 assert members == self._scalar_selection(

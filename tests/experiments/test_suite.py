@@ -123,7 +123,7 @@ class TestPaperTable:
                 0.033,
                 38387,
             ),
-            ("Thm 5.3", "four-cycles", "arbitrary", 3, "Õ(m/T^{1/4})", 0.0, 13256),
+            ("Thm 5.3", "four-cycles", "arbitrary", 3, "Õ(m/T^{1/4})", 0.0, 13271),
             (
                 "Thm 5.6",
                 "0 vs T four-cycles",

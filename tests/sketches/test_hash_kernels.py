@@ -4,9 +4,7 @@ Each kernel that lets many small samplers decide at once is checked
 against the one-object-at-a-time API it replaces:
 
 * :func:`derive_seeds` against :func:`derive_seed`;
-* :func:`draw_coefficients` and :meth:`HashStack.draw` against
-  ``KWiseHash(...)._coeffs``;
-* :meth:`HashStack.values_at` against :meth:`KWiseHash.value`;
+* :func:`draw_coefficients` against ``KWiseHash(...)._coeffs``;
 * :func:`stable_tuple_keys` against :func:`stable_key` on nested tuples;
 * :func:`bernoulli_threshold` against :meth:`KWiseHash.bernoulli`'s
   float comparison.
@@ -15,17 +13,11 @@ against the one-object-at-a-time API it replaces:
 import math
 import random
 
-import numpy as np
 import pytest
 
 from repro.seeding import derive_seed, derive_seeds
 from repro.sketches import MERSENNE_PRIME, KWiseHash, stable_key, stable_key_array
-from repro.sketches.hashing import (
-    HashStack,
-    bernoulli_threshold,
-    draw_coefficients,
-    stable_tuple_keys,
-)
+from repro.sketches.hashing import bernoulli_threshold, draw_coefficients, stable_tuple_keys
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -54,42 +46,12 @@ class TestDrawCoefficients:
                 KWiseHash(k, seed=s, namespace=namespace)._coeffs for s in seeds
             ]
 
-    def test_stack_draw_matches_stack_of_hashes(self):
-        seeds = list(range(40))
-        drawn = HashStack.draw(2, "threepass.select[1]", seeds)
-        built = HashStack([KWiseHash(2, seed=s, namespace="threepass.select[1]") for s in seeds])
-        assert drawn._coeffs.tolist() == built._coeffs.tolist()
-
     def test_empty_draw(self):
-        assert HashStack.draw(2, "x", [])._coeffs.shape == (0, 2)
+        assert draw_coefficients(2, "x", []) == []
 
     def test_validates_k(self):
         with pytest.raises(ValueError):
-            HashStack.draw(0, "x", [1])
-
-
-class TestValuesAt:
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_matches_scalar_value(self, k):
-        rng = random.Random(k)
-        hashes = [KWiseHash(k, seed=s, namespace="kernel") for s in range(12)]
-        stack = HashStack(hashes)
-        keys = [rng.randrange(-(2**40), 2**40) for _ in range(300)]
-        rows = [rng.randrange(len(hashes)) for _ in keys]
-        values = stack.values_at(np.array(rows), stable_key_array(keys))
-        assert values.dtype == np.uint64
-        assert values.tolist() == [hashes[r].value(key) for r, key in zip(rows, keys)]
-
-    def test_agrees_with_values_matrix(self):
-        stack = HashStack.draw(2, "kernel", range(5))
-        keys = stable_key_array(list(range(5)))
-        assert stack.values_at(np.arange(5), keys).tolist() == np.diagonal(
-            stack.values(keys)
-        ).tolist()
-
-    def test_empty(self):
-        stack = HashStack.draw(2, "kernel", range(3))
-        assert stack.values_at(np.array([], dtype=np.intp), np.array([], dtype=np.uint64)).size == 0
+            draw_coefficients(0, "x", [1])
 
 
 class TestStableTupleKeys:
