@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, List
 
+from ..seeding import derive_seed
 from ..sketches.estimators import median
 from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
@@ -73,7 +74,7 @@ class MedianBoost:
         meter = SpaceMeter()
         for j in range(self.copies):
             before = stream.passes_taken
-            algorithm = self.algorithm_factory(self.seed * 100_003 + j)
+            algorithm = self.algorithm_factory(derive_seed("core:median-boost", j, seed=self.seed))
             # stamped with the copies' combined space so far
             with pass_span(f"copy[{j}]", meter, kind="copy"):
                 result = algorithm.run(stream)
