@@ -25,6 +25,7 @@ peaks (only the state at step exit counts).
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Tuple
 
@@ -86,8 +87,11 @@ class SpaceMeter:
         counts, peaks, the mutation count and every timeline sample
         (thinning included), and inside a :meth:`step` too.  An
         algorithm that stores items in bulk counts them first and
-        charges them here.
+        charges them here.  ``times`` must be an integer: a numpy
+        integer is taken as the ``int`` it holds, and a float raises
+        ``TypeError``.
         """
+        times = operator.index(times)
         if times < 0:
             raise ValueError(f"cannot add a negative number of units ({times})")
         if times == 0:

@@ -9,18 +9,21 @@ and the random-order algorithm's common-neighbor primitive.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.fourcycle_adjacency_diamond import _ClassInstance, _choose2
 from repro.core.fourcycle_arbitrary_threepass import (
+    INF,
     FourCycleArbitraryThreePass,
-    _build_oracles,
+    _select,
     _selection_rates,
     subsample_q,
 )
 from repro.core.triangle_random_order import _adj_add, _common_neighbors
 from repro.graphs import normalize_edge
 from repro.sketches import KWiseHash
+from repro.sketches.hashing import stable_key_array
 
 
 class TestCommonNeighbors:
@@ -134,6 +137,35 @@ class TestCompletions:
         assert sorted(cycles) == [(0, 1, 2, 3), (0, 1, 4, 5)]
 
 
+def _select_labels(edges, q_sets, s_adjs, p, seed):
+    """Each edge's ``(R1(e), R2(e))`` as sets of label edges, read from
+    the rows ``_select`` emits over vertex ids of the label samples."""
+    vertices = {v for e in edges for v in e}
+    for s_adj in s_adjs:
+        vertices.update(s_adj, *s_adj.values())
+    ids = {v: i for i, v in enumerate(sorted(vertices, key=repr))}
+    labels, size = list(ids), len(ids) + 1
+    near = [
+        np.append(
+            np.unique(
+                np.array(
+                    [ids[x] * size + ids[d] for x, ds in s_adj.items() for d in ds if d in q_set],
+                    dtype=np.int64,
+                )
+            ),
+            INF,
+        )
+        for q_set, s_adj in zip(q_sets, s_adjs)
+    ]
+    ends = np.array([(ids[a], ids[b]) for a, b in edges], dtype=np.int64).reshape(-1, 2)
+    samples = [(set(), set()) for _ in edges]
+    for i, copy, d, side in zip(
+        *(column.tolist() for column in _select(ends, stable_key_array(labels), near, p, seed))
+    ):
+        samples[i][copy].add(normalize_edge(labels[d], edges[i][side]))
+    return samples
+
+
 class TestEdgeOracleSampling:
     def test_paper_mode_marginal_rate(self):
         """H_e vertex inclusion probability is p * (0.4 + q)."""
@@ -151,27 +183,24 @@ class TestEdgeOracleSampling:
             for d in q_set:
                 s_adj.setdefault(d, set()).add(a)
                 s_adj.setdefault(a, set()).add(d)
-            (oracle,) = _build_oracles(
-                [(a, b)], (q_set, set()), (s_adj, {}), p=p, m_bound=10.0, seed=seed
-            )
+            ((r1, _),) = _select_labels([(a, b)], (q_set, set()), (s_adj, {}), p=p, seed=seed)
             # each of the 20 candidate H_e vertices (d, a) could be in R1
-            included += len(oracle.useful.r1)
+            included += len(r1)
             total += 20
         rate = included / total
         assert abs(rate - expected) < 0.03
 
     def test_direct_mode_for_large_p(self):
-        (oracle,) = _build_oracles(
+        _select_labels(
             [("a", "b")],
             ({"d"}, set()),
             ({"d": {"a"}, "a": {"d"}}, {}),
             p=1.0,
-            m_bound=10.0,
             seed=1,
         )
-        q, _ = _selection_rates(1.0)
+        q, effective_p = _selection_rates(1.0)
         assert q is None  # direct mode
-        assert oracle.effective_p == pytest.approx(0.4)
+        assert effective_p == pytest.approx(0.4)
 
     @staticmethod
     def _scalar_selection(edge, q_set, adj, p, seed, copy):
@@ -219,10 +248,10 @@ class TestEdgeOracleSampling:
                 s_adjs[copy].setdefault(v, set()).add(u)
         edges = sorted({normalize_edge(*map(label, rng.sample(range(n), 2))) for _ in range(60)})
         seed = 11
-        oracles = _build_oracles(edges, q_sets, s_adjs, p=p, m_bound=10.0, seed=seed)
-        for e, oracle in zip(edges, oracles):
-            assert oracle.edge == e
-            for copy, members in enumerate((oracle.useful.r1, oracle.useful.r2)):
+        samples = _select_labels(edges, q_sets, s_adjs, p=p, seed=seed)
+        assert len(samples) == len(edges)
+        for e, selected in zip(edges, samples):
+            for copy, members in enumerate(selected):
                 assert members == self._scalar_selection(
                     e, q_sets[copy], s_adjs[copy], p, seed, copy
                 )

@@ -12,6 +12,7 @@ import random
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from repro.streams import SpaceMeter
@@ -267,3 +268,23 @@ def test_add_units_edge_cases(capacity):
         reference.add("b", -5_000)
     meter.add_units("d", 0)
     assert _state(meter) == _state(reference)
+
+
+@pytest.mark.parametrize("capacity", [0, 3, 512])
+def test_add_units_takes_integers_only(capacity):
+    """A numpy count is charged as the ``int`` it holds, so no ``np.int64``
+    reaches the mutation count or the timeline; a float count raises."""
+    meters = []
+    for times in (5, np.int64(5)):
+        meter = SpaceMeter(timeline_capacity=capacity)
+        meter.add_units("x", times)
+        meter.add("x", 1)
+        meter.add_units("x", np.count_nonzero([1, 0, 1]))
+        meters.append(meter)
+    plain, from_numpy = meters
+    assert repr(from_numpy.timeline()) == repr(plain.timeline())
+    assert type(from_numpy.mutations) is int
+    assert all(type(value) is int for sample in from_numpy.timeline() for value in sample)
+    for bad in (2.5, 2.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            SpaceMeter(timeline_capacity=capacity).add_units("x", bad)
