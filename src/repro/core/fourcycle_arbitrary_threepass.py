@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..graphs.graph import Edge, Vertex, normalize_edge
+from ..graphs.graph import Vertex, normalize_edge
 from ..sketches.hashing import (
     KWiseHash,
     bernoulli_threshold,

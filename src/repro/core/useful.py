@@ -1,8 +1,10 @@
 """The "Useful Algorithm" of Section 3.
 
 An abstract one-pass estimator reused by two of the paper's headline
-results (the adjacency-list diamond algorithm of Theorem 4.2 and the
-heavy-edge oracle inside the three-pass algorithm of Theorem 5.3).
+results: the adjacency-list diamond algorithm of Theorem 4.2 runs this
+class, and the three-pass algorithm of Theorem 5.3 computes the same
+quantities for all its heavy-edge oracles at once, as integer counts
+(:func:`~repro.core.fourcycle_arbitrary_threepass._count_oracles`).
 
 Setting (paper Section 3): a weighted graph ``H`` with edge weights in
 ``[1, lambda]`` and total weight ``W`` is revealed as a stream of its
