@@ -31,19 +31,22 @@ The parameter ``eta`` trades accuracy (the ``164/eta`` loss) against
 the variance control that heavy-edge removal buys; the paper treats it
 as a large constant.
 
-Implementation: pass 1 reads the stream through
-:meth:`~repro.streams.models.StreamSource.edge_chunks`, hashes each
-chunk with one ``bernoulli_array`` per sample, inserts the hits in
-stream order and charges the meter once per chunk and category; pass 2
-charges its stored cycles once.  The vertices S1 and S2 hold are
-numbered as pass 1 stores them (one dict), and S1, S2 and their joins
-to Q1, Q2 become sorted directed key arrays (CSR, flattened).
-:func:`_select` selects every oracle's ``R1(e), R2(e)`` in one batch,
-hashing the original labels under one function per sample copy, and
-emits one row per selected H_e vertex.  :func:`_count_oracles` then
-runs every oracle's Useful quantities together, per pass-3 chunk, as
-integer counts over array joins.  Estimates, details and space
-accounting equal one float-weighted Useful run per oracle exactly
+Implementation: every pass reads
+:meth:`~repro.streams.models.StreamSource.edge_chunks`, and every sample
+is held over vertex ids.  Pass 1 hashes each chunk with one
+``bernoulli_array`` per sample, numbers the endpoints of the S0, S1 and
+S2 hits as it stores them (one dict) and charges the meter once per
+chunk and category; S0, S1, S2 and the joins to Q1, Q2 become sorted
+directed key arrays (CSR, flattened).  Passes 2 and 3 read each chunk
+as ids, a vertex no sample holds as a sentinel id (:func:`_chunk_ids`).
+:func:`_store_cycles` joins each pass-2 chunk with S0 into ``(k, 4)``
+cycle rows, whose edges become the oracles, ordered by the ``repr`` of
+their label edges.  :func:`_select` selects every oracle's ``R1(e),
+R2(e)`` in one batch, hashing the labels under one function per sample
+copy, and :func:`_count_oracles` runs every oracle's Useful quantities
+together, per pass-3 chunk, as integer counts over array joins.
+Estimates, details and space accounting equal one float-weighted
+Useful run per oracle exactly
 (``tests/core/test_a6_reference.py`` keeps that path as the reference).
 """
 
@@ -51,11 +54,11 @@ from __future__ import annotations
 
 import math
 from itertools import chain, repeat
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphs.graph import Vertex, normalize_edge
+from ..graphs.graph import Edge, Vertex, normalize_edge
 from ..sketches.hashing import (
     KWiseHash,
     bernoulli_threshold,
@@ -67,9 +70,6 @@ from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
 from .result import EstimateResult
 from .skeleton import check_accuracy, finish, pass_span
-
-Cycle = Tuple[Vertex, Vertex, Vertex, Vertex]  # (a, b, c, d) in cycle order
-
 
 def subsample_q(p: float) -> float:
     """The paper's ``q``: the smaller root of ``p (0.4 + q)^2 = q``.
@@ -134,6 +134,42 @@ def _adjacency(pairs: np.ndarray, size: int) -> np.ndarray:
     directions, each once: the CSR of their adjacency, flattened."""
     keys = np.concatenate([pairs[:, 0] * size + pairs[:, 1], pairs[:, 1] * size + pairs[:, 0]])
     return np.unique(keys)
+
+
+def _chunk_ids(chunk: Sequence[Edge], ids: Dict[Vertex, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The endpoint ids ``(u, v)`` of a chunk's tokens; a vertex no sample
+    holds gets the id ``len(ids)``, which no key uses."""
+    flat = np.fromiter(map(ids.get, chain.from_iterable(chunk), repeat(len(ids))), np.int64)
+    return flat[0::2], flat[1::2]
+
+
+def _store_cycles(
+    chunks: Iterable[Sequence[Edge]], s0: np.ndarray, ids: Dict[Vertex, int]
+) -> np.ndarray:
+    """Pass 2: every four-cycle ``a-b-c-d`` that a stream token ``(a, b)``
+    completes with three edges of S0, as rows ``(a, b, c, d)`` of ids.
+
+    ``s0`` holds S0 as sorted directed keys ``u * size + v`` (``size =
+    len(ids) + 1``, an ``INF`` sentinel last).  Per chunk, ``c`` runs over
+    ``N0(b) - {a}`` and ``d`` over ``N0(a) - {b}`` with ``(c, d)`` in S0,
+    which also rules out ``d = c`` (S0 has no self loop).  Every token
+    stores its own rows, so a repeated token's cycles are stored again.
+    """
+    size = len(ids) + 1
+    ptr = np.searchsorted(s0, np.arange(size + 1) * size)
+    stored = [np.zeros((0, 4), dtype=np.int64)]
+    for chunk in chunks:
+        a, b = _chunk_ids(chunk, ids)
+        token, at = _gather(ptr, b)
+        c = s0[at] % size
+        keep = c != a[token]
+        token, c = token[keep], c[keep]
+        wedge, at = _gather(ptr, a[token])
+        token, c, d = token[wedge], c[wedge], s0[at] % size
+        keep = (d != b[token]) & _contains(s0, c * size + d)
+        token, c, d = token[keep], c[keep], d[keep]
+        stored.append(np.stack([a[token], b[token], c, d], axis=1))
+    return np.concatenate(stored)
 
 
 def _select(
@@ -240,7 +276,9 @@ def _count_oracles(
     ``(outer(f), d)`` is in ``S_c`` for a copy ``c`` that selected ``g``;
     ``witness`` holds S1 and S2 as sorted keys ``(c * size + u) * size +
     v``.  A ``g`` in both samples counts once per ``f``, in both roles.
-    ``g`` is seen iff its first stream position precedes ``f``'s.  Per
+    ``g`` is seen iff its first stream position precedes ``f``'s; a token
+    endpoint no sample holds has the sentinel id ``size - 1``
+    (:func:`_chunk_ids`), so it matches no ``g``, row or witness.  Per
     oracle: ``A`` counts seen R2 observations; ``f`` is heavy iff its
     unseen R1 observations reach ``p sqrt(M)``, and then adds its unseen
     R2 observations to ``AH``; an R2 member heavy on arrival opens a
@@ -273,13 +311,7 @@ def _count_oracles(
     threshold = effective_p * math.sqrt(m_bound)
     position = 0
     for chunk in stream.edge_chunks():
-        # a vertex no sample holds gets the id size - 1, which no key uses
-        flat = np.fromiter(
-            map(ids.get, chain.from_iterable(chunk), repeat(size - 1)),
-            dtype=np.int64,
-            count=2 * len(chunk),
-        )
-        u, v = flat[0::2], flat[1::2]
+        u, v = _chunk_ids(chunk, ids)
         when = position + np.arange(len(chunk))
         position += len(chunk)
         f_keys = np.minimum(u, v) * size + np.maximum(u, v)
@@ -364,9 +396,9 @@ class FourCycleArbitraryThreePass:
         q2_hash = KWiseHash(k=2, seed=self.seed, namespace="threepass.q2")
 
         # ---- pass 1: draw S0, Q1/S1, Q2/S2 ---------------------------
-        s0_adj: Dict[Vertex, Set[Vertex]] = {}
-        # S1, S2 and Q1, Q2 over vertex ids, numbered as they are stored
+        # the samples over vertex ids, numbered as they are stored
         ids: Dict[Vertex, int] = {}
+        s0_pairs: List[np.ndarray] = [_NO_PAIRS]
         s_pairs: Tuple[List[np.ndarray], List[np.ndarray]] = ([_NO_PAIRS], [_NO_PAIRS])
         q_ids: Tuple[List[np.ndarray], List[np.ndarray]] = ([], [])
         with pass_span("pass1:sample", meter):
@@ -381,12 +413,7 @@ class FourCycleArbitraryThreePass:
                     for q_hash in (q1_hash, q2_hash)
                 ]
                 in_s = [u_in | v_in for u_in, v_in in in_q]
-                # insert in stream order
-                for j in np.flatnonzero(in_s0).tolist():
-                    u, v = chunk[j]
-                    s0_adj.setdefault(u, set()).add(v)
-                    s0_adj.setdefault(v, set()).add(u)
-                kept = np.flatnonzero(in_s[0] | in_s[1])
+                kept = np.flatnonzero(in_s0 | in_s[0] | in_s[1])
                 pairs = np.array(
                     [
                         (ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids)))
@@ -394,6 +421,7 @@ class FourCycleArbitraryThreePass:
                     ],
                     dtype=np.int64,
                 ).reshape(-1, 2)
+                s0_pairs.append(pairs[in_s0[kept]])
                 for copy, ((u_in, v_in), hits) in enumerate(zip(in_q, in_s)):
                     s_pairs[copy].append(pairs[hits[kept]])
                     q_ids[copy].extend([pairs[u_in[kept], 0], pairs[v_in[kept], 1]])
@@ -406,35 +434,30 @@ class FourCycleArbitraryThreePass:
                     charges.reverse()
                 for category, count in charges:
                     meter.add_units(category, count)
+        size = len(ids) + 1
+        s0 = np.append(_adjacency(np.concatenate(s0_pairs), size), INF)
 
         # ---- pass 2: store cycles completed by three S0 edges --------
-        stored: List[Cycle] = []  # each begins with the stream edge that completed it
         with pass_span("pass2:store-cycles", meter) as span:
-            for a, b in stream.edges():
-                stored.extend(self._completions(s0_adj, a, b))
+            # each row begins with the stream edge that completed it
+            stored = _store_cycles(stream.edge_chunks(), s0, ids)
             meter.add_units("stored_cycles", len(stored))
             span.set("stored_cycles", len(stored))
 
         # ---- pass 3: classify every involved edge --------------------
         eta_sqrt_t = self.eta * math.sqrt(self.t_guess)
-        # each stored cycle's edges, the stream edge e first; the oracles'
-        # edges ordered by repr, so no output follows set-iteration order
-        # (which for str vertices changes with PYTHONHASHSEED)
-        cycles = [
-            (
-                normalize_edge(a, b),
-                normalize_edge(b, c_v),
-                normalize_edge(c_v, d_v),
-                normalize_edge(d_v, a),
-            )
-            for a, b, c_v, d_v in stored
-        ]
-        oracle_edges = sorted({e for edges in cycles for e in edges}, key=repr)
-        ends = np.array(
-            [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))) for a, b in oracle_edges],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        size = len(ids) + 1
+        # each stored cycle's edges, the stream edge e first, as undirected
+        # keys; the oracles' edges ordered by the repr of their labels, so
+        # no output follows the numbering
+        nxt = np.roll(stored, -1, axis=1)
+        edge_keys, index = np.unique(
+            np.minimum(stored, nxt) * size + np.maximum(stored, nxt), return_inverse=True
+        )
+        labels = list(ids)
+        edges = [normalize_edge(labels[k // size], labels[k % size]) for k in edge_keys.tolist()]
+        order = sorted(range(len(edges)), key=lambda i: repr(edges[i]))
+        ends = np.array([[ids[x] for x in edges[i]] for i in order], dtype=np.int64).reshape(-1, 2)
+        oracle_of = np.argsort(order)[index].reshape(-1, 4)  # each cycle's edges' oracles
         adjacency = [_adjacency(np.concatenate(pairs), size) for pairs in s_pairs]
         near = []  # S_c joins to Q_c, for the selection
         for adj, q in zip(adjacency, q_ids):
@@ -442,7 +465,7 @@ class FourCycleArbitraryThreePass:
             in_q[np.concatenate([_NO_IDS, *q])] = True
             near.append(np.append(adj[in_q[adj % size]], INF))
         witness = np.concatenate([adjacency[0], adjacency[1] + size * size, [INF]])
-        rows = _select(ends, stable_key_array(list(ids)), near, p, self.seed)
+        rows = _select(ends, stable_key_array(labels), near, p, self.seed)
 
         # always taken, even with no stored cycle: Theorem 5.3 spends
         # three passes whatever the sample holds
@@ -455,19 +478,14 @@ class FourCycleArbitraryThreePass:
             # it reads (S1, S2) are shared and metered once in pass 1
             for count in counters.tolist():
                 meter.add("oracle_counters", count + 3)
-            span.set("num_oracles", len(oracle_edges))
-
-        heavy = dict(zip(oracle_edges, (estimates >= eta_sqrt_t).tolist()))
+            span.set("num_oracles", len(ends))
 
         # ---- combine --------------------------------------------------
         # a cycle with two or more heavy edges is dropped (Lemma 5.1)
-        a0 = a1 = 0
-        for e, *others in cycles:
-            if not any(heavy[g] for g in others):
-                if heavy[e]:
-                    a1 += 1
-                else:
-                    a0 += 1
+        heavy = estimates >= eta_sqrt_t
+        e_heavy, kept = heavy[oracle_of[:, 0]], ~heavy[oracle_of[:, 1:]].any(axis=1)
+        a0 = int(np.count_nonzero(kept & ~e_heavy))
+        a1 = int(np.count_nonzero(kept & e_heavy))
         estimate = a0 / (4.0 * p**3) + a1 / (p**3)
 
         details = {
@@ -476,31 +494,9 @@ class FourCycleArbitraryThreePass:
             "stored_pairs": len(stored),
             "a0": a0,
             "a1": a1,
-            "num_oracles": len(oracle_edges),
-            "num_heavy_edges": sum(heavy.values()),
+            "num_oracles": len(ends),
+            "num_heavy_edges": int(np.count_nonzero(heavy)),
             "useful_heavy_vertices": heavy_vertices,
             "useful_heavy_counters": int(counters.sum()),
         }
         return finish(self.name, estimate, stream.passes_taken, meter, details)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _completions(
-        s0_adj: Dict[Vertex, Set[Vertex]], a: Vertex, b: Vertex
-    ) -> List[Cycle]:
-        """All cycles ``a-b-c-d`` whose other three edges are in S0."""
-        cycles: List[Cycle] = []
-        neighbors_b = s0_adj.get(b)
-        neighbors_a = s0_adj.get(a)
-        if not neighbors_b or not neighbors_a:
-            return cycles
-        for c in neighbors_b:
-            if c == a:
-                continue
-            c_neighbors = s0_adj.get(c, set())
-            for d in neighbors_a:
-                if d == b or d == c or d == a:
-                    continue
-                if d in c_neighbors:
-                    cycles.append((a, b, c, d))
-        return cycles

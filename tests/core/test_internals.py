@@ -2,7 +2,7 @@
 
 The end-to-end tests pin the estimators' outputs; these pin the
 intermediate machinery: the diamond algorithm's size classes, the
-three-pass algorithm's cycle completion search and H_e sub-sampling,
+three-pass algorithm's pass-2 cycle join and H_e sub-sampling,
 and the random-order algorithm's common-neighbor primitive.
 """
 
@@ -15,9 +15,10 @@ import pytest
 from repro.core.fourcycle_adjacency_diamond import _ClassInstance, _choose2
 from repro.core.fourcycle_arbitrary_threepass import (
     INF,
-    FourCycleArbitraryThreePass,
+    _adjacency,
     _select,
     _selection_rates,
+    _store_cycles,
     subsample_q,
 )
 from repro.core.triangle_random_order import _adj_add, _common_neighbors
@@ -107,34 +108,68 @@ class TestClassInstance:
         assert estimate == pytest.approx(_choose2(5.0))
 
 
-class TestCompletions:
-    def test_finds_cycle(self):
-        adj = {}
-        from repro.core.triangle_random_order import _adj_add as add
+def _stored_labels(s0_edges, tokens, others=(), chunk=3):
+    """Pass 2's rows for the label sample ``s0_edges`` over the stream
+    ``tokens`` (read in lists of ``chunk``), as label tuples.  ``others``
+    are numbered too, as pass 1 numbers S1 and S2 vertices outside S0."""
+    vertices = sorted({v for e in s0_edges for v in e} | set(others), key=repr)
+    ids = {v: i for i, v in enumerate(vertices)}
+    pairs = np.array([(ids[u], ids[v]) for u, v in s0_edges], dtype=np.int64).reshape(-1, 2)
+    s0 = np.append(_adjacency(pairs, len(ids) + 1), INF)
+    chunks = [tokens[i : i + chunk] for i in range(0, len(tokens), chunk)]
+    return [tuple(vertices[x] for x in row) for row in _store_cycles(chunks, s0, ids).tolist()]
 
-        for edge in [(1, 2), (2, 3), (3, 0)]:
-            add(adj, *edge)
-        cycles = FourCycleArbitraryThreePass._completions(adj, 0, 1)
-        assert cycles == [(0, 1, 2, 3)]
+
+def _enumerated(s0_edges, tokens):
+    """The cycles ``a-b-c-d`` each token ``(a, b)`` completes with three
+    S0 edges, by brute force over label sets."""
+    adj = {}
+    for u, v in s0_edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return [
+        (a, b, c, d)
+        for a, b in tokens
+        for c in adj.get(b, ())
+        for d in adj.get(a, ())
+        if len({a, b, c, d}) == 4 and d in adj[c]
+    ]
+
+
+class TestStoreCycles:
+    def test_finds_cycle(self):
+        assert _stored_labels([(1, 2), (2, 3), (3, 0)], [(0, 1)]) == [(0, 1, 2, 3)]
 
     def test_rejects_degenerate(self):
-        adj = {}
-        from repro.core.triangle_random_order import _adj_add as add
-
         # triangle, not a 4-cycle
-        for edge in [(1, 2), (2, 0)]:
-            add(adj, *edge)
-        assert FourCycleArbitraryThreePass._completions(adj, 0, 1) == []
+        assert _stored_labels([(1, 2), (2, 0)], [(0, 1)]) == []
 
     def test_multiple_cycles(self):
-        adj = {}
-        from repro.core.triangle_random_order import _adj_add as add
-
         # two cycles through edge (0,1): 0-1-2-3 and 0-1-4-5
-        for edge in [(1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 0)]:
-            add(adj, *edge)
-        cycles = FourCycleArbitraryThreePass._completions(adj, 0, 1)
-        assert sorted(cycles) == [(0, 1, 2, 3), (0, 1, 4, 5)]
+        s0 = [(1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 0)]
+        assert sorted(_stored_labels(s0, [(0, 1)])) == [(0, 1, 2, 3), (0, 1, 4, 5)]
+
+    @pytest.mark.parametrize(
+        "label", [lambda v: v, lambda v: f"v{v}", lambda v: -v * 7919], ids=["int", "str", "negint"]
+    )
+    def test_equals_enumeration_over_s0(self, label):
+        rng = random.Random(5)
+        n = 14
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+        s0 = [(label(u), label(v)) for u, v in edges if rng.random() < 0.6]
+        s0 += [(v, u) for u, v in s0[:5]]  # a sample edge stored twice, reversed
+        tokens = [(label(u), label(v)) for u, v in edges]
+        rng.shuffle(tokens)
+        # repeated tokens, either way round, and tokens no sample holds
+        tokens += [tokens[0], tokens[3][::-1], tokens[0]]
+        tokens += [(label(100), label(101)), (label(0), label(102)), (label(103), label(1))]
+        stored = _stored_labels(s0, tokens, others=[label(101), label(103)])
+        expected = _enumerated(s0, tokens)
+        assert len(expected) > 50
+        assert sorted(stored, key=repr) == sorted(expected, key=repr)
+        # each repeat of a token stores its cycles again
+        first = [row for row in stored if row[:2] == tokens[0]]
+        assert first and len(first) == 3 * len(set(first))
 
 
 def _select_labels(edges, q_sets, s_adjs, p, seed):

@@ -8,7 +8,10 @@ or time-based seeding breaks these tests.
 
 Every knob below puts its algorithm in a sampling regime (some
 sampling probability below 1) on :func:`_str_graph`, where the
-hash-seed test runs the whole matrix.
+hash-seed test runs the whole matrix.  On the ``graph`` fixture, which
+has far fewer triangles and four-cycles, the edge matrix runs with
+:data:`FIXTURE_FACTORIES`' knobs: every one samples there and returns a
+nonzero estimate, so each in-process pair compares something.
 """
 
 import os
@@ -95,6 +98,24 @@ EDGE_FACTORIES = {
     "edge-sampling-four-cycles": lambda: EdgeSamplingFourCycles(p=0.5, seed=7),
 }
 
+#: the edge matrix on the ``graph`` fixture (T=62, C4=203): at the knobs
+#: above, A1, TRIEST-base and BC estimate 0.0 on stream seed 11 or 12,
+#: and the one- and three-pass four-cycle counters sample at rate 1
+FIXTURE_FACTORIES = {
+    **EDGE_FACTORIES,
+    "triangle-ro": lambda: TriangleRandomOrder(
+        t_guess=70, epsilon=0.5, c=0.35, seed=7, use_log_factor=False
+    ),
+    "threepass": lambda: FourCycleArbitraryThreePass(
+        t_guess=5000, epsilon=0.3, c=0.03, seed=7
+    ),
+    "onepass": lambda: FourCycleArbitraryOnePass(
+        t_guess=5000, epsilon=0.3, c=0.03, groups=2, group_size=3, seed=7
+    ),
+    "bc": lambda: BeraChakrabartiFourCycles(t_guess=200, epsilon=0.3, seed=7),
+    "triest-base": lambda: TriestBase(memory=400, seed=7),
+}
+
 ADJ_FACTORIES = {
     "diamond": lambda: FourCycleAdjacencyDiamond(
         t_guess=5000, epsilon=0.3, c=0.05, seed=7
@@ -123,11 +144,21 @@ _RATE_KEYS = (
 _UNCLAMPED = {"bc", "triest", "triest-base", "l2", "wedge-pair"}
 
 
+def _assert_samples(name, details):
+    """``details`` come from a sampling run: a clamped rate below 1, or
+    an algorithm that samples without one."""
+    rates = _rates(details)
+    assert bool(rates) != (name in _UNCLAMPED), name
+    assert not rates or min(rates) < 1, (name, rates)
+
+
 @pytest.mark.parametrize("name", sorted(EDGE_FACTORIES))
 def test_edge_algorithms_deterministic(name, graph):
-    factory = EDGE_FACTORIES[name]
+    factory = FIXTURE_FACTORIES[name]
     first = factory().run(RandomOrderStream(graph, seed=11))
     second = factory().run(RandomOrderStream(graph, seed=11))
+    _assert_samples(name, first.details)
+    assert first.estimate > 0, name
     assert first.estimate == second.estimate
     assert first.space_items == second.space_items
 
@@ -145,12 +176,14 @@ def test_adjacency_algorithms_deterministic(name, dense_graph):
 def test_stream_seed_matters_or_algorithm_is_order_free(name, graph):
     """Changing the stream order changes *something* observable for
     order-sensitive algorithms, or provably nothing for order-free
-    ones — either way the run must complete and stay finite."""
-    factory = EDGE_FACTORIES[name]
+    ones — either way the run must complete, sample and return a
+    nonzero estimate on both orders."""
+    factory = FIXTURE_FACTORIES[name]
     a = factory().run(RandomOrderStream(graph, seed=11))
     b = factory().run(RandomOrderStream(graph, seed=12))
-    assert a.estimate == a.estimate and b.estimate == b.estimate
-    assert a.estimate >= 0 and b.estimate >= 0
+    for result in (a, b):
+        _assert_samples(name, result.details)
+    assert a.estimate > 0 and b.estimate > 0, (name, a.estimate, b.estimate)
 
 
 def test_generators_deterministic_across_calls():
@@ -224,9 +257,7 @@ def test_sampling_runs_ignore_hash_seed():
     matrix algorithm runs while sampling, in two child interpreters."""
     runs = _observe_str_runs()
     for name, (_, details, _, _) in runs.items():
-        rates = _rates(details)
-        assert bool(rates) != (name in _UNCLAMPED), name
-        assert not rates or min(rates) < 1, (name, rates)
+        _assert_samples(name, details)
     first, second = (_observe_in_child(seed) for seed in ("0", "1"))
     assert first == second
     assert first.strip() == repr(runs)
